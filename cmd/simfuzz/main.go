@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"routeless/internal/fuzz"
+	"routeless/internal/scenario"
 )
 
 func main() {
@@ -185,11 +186,11 @@ func run(args []string) int {
 // saveFailure shrinks the failing scenario (keeping the same verdict
 // class as the reduction target, under the same oracle mode that found
 // it) and writes the fixture.
-func saveFailure(exec func(fuzz.Scenario) fuzz.Result, dir string, seed int64, sc fuzz.Scenario, res fuzz.Result, shrinkEvals int) error {
+func saveFailure(exec func(scenario.Scenario) fuzz.Result, dir string, seed int64, sc scenario.Scenario, res fuzz.Result, shrinkEvals int) error {
 	min := sc
 	if shrinkEvals > 0 {
 		var evals int
-		min, evals = fuzz.Shrink(sc, func(cand fuzz.Scenario) bool {
+		min, evals = fuzz.Shrink(sc, func(cand scenario.Scenario) bool {
 			return exec(cand).Verdict == res.Verdict
 		}, shrinkEvals)
 		fmt.Printf("seed=%d shrunk N=%d→%d duration=%g→%g flows=%d→%d faults=%d→%d (%d evals)\n",

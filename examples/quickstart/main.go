@@ -1,8 +1,8 @@
-// Quickstart: the façade's functional-options form, end to end. Build
-// a 100-node field, install Routeless Routing, run CBR traffic between
-// two corners — then do it again with a fault plan (duty-cycle crashes
-// plus a roaming jammer) injected through the same options call, and
-// compare what survived.
+// Quickstart: the façade end to end. Build a 100-node field from a
+// NetworkConfig, install Routeless Routing, run CBR traffic between two
+// corners — then do it again on the same field with a fault plan
+// (duty-cycle crashes plus a roaming jammer) installed, and compare
+// what survived.
 //
 //	go run ./examples/quickstart
 package main
@@ -13,10 +13,16 @@ import (
 	"routeless"
 )
 
-// run builds a field from the options, routes 20 packets corner to
-// corner, and reports delivery.
-func run(label string, opts ...routeless.Option) {
-	nw := routeless.NewNetwork(opts...)
+// run builds the field, installs the fault plan (none when empty),
+// routes 20 packets corner to corner, and reports delivery.
+func run(label string, plan routeless.FaultPlan) {
+	nw := routeless.NewNetwork(routeless.NetworkConfig{
+		N:               100,
+		Rect:            routeless.NewRect(1000, 1000),
+		Seed:            42,
+		EnsureConnected: true,
+	})
+	routeless.InstallFaults(nw, plan)
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})
@@ -38,23 +44,16 @@ func run(label string, opts ...routeless.Option) {
 }
 
 func main() {
-	base := []routeless.Option{
-		routeless.WithN(100),
-		routeless.WithRect(routeless.NewRect(1000, 1000)),
-		routeless.WithSeed(42),
-		routeless.WithEnsureConnected(),
-	}
-
 	// Clean run: no faults.
-	run("clean", base...)
+	run("clean", nil)
 
 	// Same field, same seed, now under fire: 10% duty-cycle crashes on
 	// every node and a roaming jammer. The fault streams derive from the
 	// network seed, so this run is exactly reproducible too.
-	run("under fire", append(base, routeless.WithFaults(routeless.FaultPlan{
+	run("under fire", routeless.FaultPlan{
 		routeless.Crash(0.10),
 		routeless.Jam(24.5),
-	}))...)
+	})
 }
 
 // corner returns the node nearest (x, y).

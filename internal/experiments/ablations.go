@@ -8,6 +8,7 @@ import (
 	"routeless/internal/packet"
 	"routeless/internal/rng"
 	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
@@ -27,7 +28,7 @@ type Abl1Row struct {
 func RunAbl1(cfg Fig1Config) []Abl1Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("abl1", len(cfg.Intervals)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) scenario.RunMetrics {
 		pi, cancel := versusPoint(c.Point)
 		return runSSAFOnce(ctx, cfg, cfg.Intervals[pi], cancel, c.Seed)
 	})
@@ -46,18 +47,19 @@ func RunAbl1(cfg Fig1Config) []Abl1Row {
 	return rows
 }
 
-func runSSAFOnce(ctx *sweep.Context, cfg Fig1Config, interval float64, cancel bool, seed int64) RunMetrics {
+// runSSAFOnce hand-assembles the Figure 1 rig: the document has no
+// field for SSAF's cancellation flag.
+func runSSAFOnce(ctx *sweep.Context, cfg Fig1Config, interval float64, cancel bool, seed int64) scenario.RunMetrics {
 	nw := node.New(node.Config{
 		N: cfg.Nodes, Rect: geo.NewRect(cfg.Terrain, cfg.Terrain),
 		Range: cfg.Range, Seed: seed, EnsureConnected: true,
 		Runtime: ctx.Runtime(),
 	})
-	minDBm, maxDBm := ssafSpan(cfg.Range)
+	minDBm, maxDBm := scenario.SSAFSpan(cfg.Range)
 	fcfg := flood.SSAFConfig(cfg.Lambda, minDBm, maxDBm)
 	fcfg.Cancel = cancel
 	nw.Install(func(n *node.Node) node.Protocol { return flood.New(&fcfg) })
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
+	tap := scenario.NewAppTap(nw)
 	pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, cfg.Connections)
 	var cbrs []*traffic.CBR
 	for _, p := range pairs {
@@ -71,7 +73,8 @@ func runSSAFOnce(ctx *sweep.Context, cfg Fig1Config, interval float64, cancel bo
 		c.Stop()
 	}
 	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return collect(nw, tap)
+	countNetworkEvents(nw)
+	return mustPass(scenario.CollectChecked(nw, tap))
 }
 
 // Abl1Table renders the comparison.
@@ -112,10 +115,11 @@ func RunAbl2(cfg Fig34Config, lambdas []sim.Time, pairs int) []Abl2Row {
 		pairs = 5
 	}
 	cells := sweep.Cells("abl2", len(lambdas), cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) scenario.RunMetrics {
 		run := cfg
 		run.Lambda = lambdas[c.Point]
-		return runRoutingOnce(ctx, run, ProtoRouteless, pairs, 0, c.Seed).RunMetrics
+		sc, _ := run.doc(scenario.ProtoRouteless, pairs, c.Seed)
+		return runDoc(ctx, sc, false).RunMetrics
 	})
 	rows := make([]Abl2Row, len(lambdas))
 	for i, l := range lambdas {
@@ -261,13 +265,14 @@ type Abl4Row struct {
 func RunAbl4(cfg Fig34Config) []Abl4Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("abl4", len(cfg.Pairs)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) scenario.RunMetrics {
 		pi, grad := versusPoint(c.Point)
-		proto := ProtoRouteless
+		proto := scenario.ProtoRouteless
 		if grad {
-			proto = ProtoGradient
+			proto = scenario.ProtoGradient
 		}
-		return runRoutingOnce(ctx, cfg, proto, cfg.Pairs[pi], 0, c.Seed).RunMetrics
+		sc, _ := cfg.doc(proto, cfg.Pairs[pi], c.Seed)
+		return runDoc(ctx, sc, false).RunMetrics
 	})
 	rows := make([]Abl4Row, len(cfg.Pairs))
 	for i, p := range cfg.Pairs {
@@ -324,8 +329,10 @@ func RunAbl5(cfg Fig34Config, fractions []float64, pairs int) []Abl5Row {
 		pairs = 5
 	}
 	cells := sweep.Cells("abl5", len(fractions), cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
-		return runSleepOnce(ctx, cfg, pairs, fractions[c.Point], c.Seed)
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) scenario.RunMetrics {
+		sc, endpoints := cfg.doc(scenario.ProtoRouteless, pairs, c.Seed)
+		sc.Faults = crashFaults(fractions[c.Point], true, endpoints)
+		return runDoc(ctx, sc, false).RunMetrics
 	})
 	rows := make([]Abl5Row, len(fractions))
 	for i, f := range fractions {
@@ -335,49 +342,6 @@ func RunAbl5(cfg Fig34Config, fractions []float64, pairs int) []Abl5Row {
 		rows[c.Point].RR.Add(results[i])
 	}
 	return rows
-}
-
-func runSleepOnce(ctx *sweep.Context, cfg Fig34Config, pairs int, frac float64, seed int64) RunMetrics {
-	nw := node.New(node.Config{
-		N: cfg.Nodes, Rect: geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range: cfg.Range, Seed: seed, EnsureConnected: true,
-		Runtime: ctx.Runtime(),
-	})
-	nw.Install(func(n *node.Node) node.Protocol {
-		return routing.NewRouteless(routing.RoutelessConfig{Lambda: cfg.Lambda})
-	})
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, pairs)
-	endpoint := map[packet.NodeID]bool{}
-	var cbrs []*traffic.CBR
-	for _, p := range conns {
-		endpoint[p.Src], endpoint[p.Dst] = true, true
-		fwd := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(cfg.Interval), cfg.DataSize)
-		rev := traffic.NewCBR(nw.Nodes[p.Dst], p.Src, sim.Time(cfg.Interval), cfg.DataSize)
-		tap.Watch(fwd)
-		tap.Watch(rev)
-		fwd.Start()
-		rev.Start()
-		cbrs = append(cbrs, fwd, rev)
-	}
-	if frac > 0 {
-		for _, n := range nw.Nodes {
-			if endpoint[n.ID] {
-				continue
-			}
-			fp := node.NewFailureProcess(n, rng.ForNode(seed, rng.StreamFailure, int(n.ID)))
-			fp.OffFraction = frac
-			fp.Sleep = true
-			fp.Start()
-		}
-	}
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return collect(nw, tap)
 }
 
 // Abl5Table renders the sleep study.
@@ -409,7 +373,7 @@ type Abl6Row struct {
 func RunAbl6(cfg Fig34Config) []Abl6Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("abl6", len(cfg.Pairs)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) scenario.RunMetrics {
 		pi, signal := versusPoint(c.Point)
 		return runSignalTieOnce(ctx, cfg, cfg.Pairs[pi], signal, c.Seed)
 	})
@@ -428,7 +392,9 @@ func RunAbl6(cfg Fig34Config) []Abl6Row {
 	return rows
 }
 
-func runSignalTieOnce(ctx *sweep.Context, cfg Fig34Config, pairs int, signal bool, seed int64) RunMetrics {
+// runSignalTieOnce hand-assembles the Figure 3 rig: the document has no
+// field for Routeless's signal tie-break.
+func runSignalTieOnce(ctx *sweep.Context, cfg Fig34Config, pairs int, signal bool, seed int64) scenario.RunMetrics {
 	nw := node.New(node.Config{
 		N: cfg.Nodes, Rect: geo.NewRect(cfg.Terrain, cfg.Terrain),
 		Range: cfg.Range, Seed: seed, EnsureConnected: true,
@@ -436,8 +402,7 @@ func runSignalTieOnce(ctx *sweep.Context, cfg Fig34Config, pairs int, signal boo
 	})
 	rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, SignalTieBreak: signal}
 	nw.Install(func(n *node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
+	tap := scenario.NewAppTap(nw)
 	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, pairs)
 	var cbrs []*traffic.CBR
 	for _, p := range conns {
@@ -454,7 +419,8 @@ func runSignalTieOnce(ctx *sweep.Context, cfg Fig34Config, pairs int, signal boo
 		c.Stop()
 	}
 	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return collect(nw, tap)
+	countNetworkEvents(nw)
+	return mustPass(scenario.CollectChecked(nw, tap))
 }
 
 // Abl6Table renders the tie-break comparison.

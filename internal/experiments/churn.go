@@ -3,17 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"routeless/internal/fault"
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
-	"routeless/internal/node"
-	"routeless/internal/packet"
-	"routeless/internal/rng"
-	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
-	"routeless/internal/traffic"
 )
 
 // ChurnConfig is the fault-plane churn study: fixed bidirectional CBR
@@ -82,106 +76,52 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 const numChurnProtos = 3
 
 // churnProto fixes the protocol order inside each intensity point.
-func churnProto(i int) RoutingProto {
+func churnProto(i int) string {
 	switch i {
 	case 0:
-		return ProtoRouteless
+		return scenario.ProtoRouteless
 	case 1:
-		return ProtoAODV
+		return scenario.ProtoAODV
 	default:
-		return ProtoGradient
+		return scenario.ProtoGradient
 	}
 }
 
 // repairSeries maps a protocol to its repair-latency histogram name.
-func repairSeries(proto RoutingProto) string {
+func repairSeries(proto string) string {
 	switch proto {
-	case ProtoRouteless:
+	case scenario.ProtoRouteless:
 		return "rr.repair_latency_s"
-	case ProtoAODV:
+	case scenario.ProtoAODV:
 		return "aodv.repair_latency_s"
 	default:
 		return "gradient.repair_latency_s"
 	}
 }
 
-// churnPlan scales the three network-level fault shapes with one
+// churnFaults scales the three network-level fault shapes with one
 // intensity knob: crash duty cycles at the intensity itself (Figure 4's
-// axis), plus one link shadowed and one jam burst per 0.05/intensity
-// seconds. Intensity 0 returns nil — no plan, bitwise identical to a
-// run without the fault plane.
-func churnPlan(intensity float64, exclude []packet.NodeID) fault.Plan {
+// axis, sparing the traffic endpoints), plus one link shadowed and one
+// jam burst per 0.05/intensity seconds. Intensity 0 returns no faults —
+// bitwise identical to a run without the fault plane.
+func churnFaults(intensity float64, endpoints []int) []scenario.FaultSpec {
 	if intensity <= 0 {
 		return nil
 	}
-	crash := fault.Crash(intensity)
-	crash.Exclude = exclude
-	deg := fault.Degrade(-25)
-	deg.Period = sim.Time(0.05 / intensity)
-	jam := fault.Jam(24.5)
-	jam.Period = sim.Time(0.05 / intensity)
-	return fault.Plan{crash, deg, jam}
+	period := 0.05 / intensity
+	return append(crashFaults(intensity, false, endpoints),
+		scenario.FaultSpec{Kind: "degrade", OffsetDB: -25, Period: period},
+		scenario.FaultSpec{Kind: "jam", TxPowerDBm: 24.5, Period: period})
 }
 
-// runChurnOnce mirrors runRoutingOnce with the composite fault plan in
-// place of the hand-picked crash loop. The snapshot is always captured:
-// the repair-latency histograms are the study's output, journaled or
-// not.
-func runChurnOnce(ctx *sweep.Context, cfg ChurnConfig, proto RoutingProto, intensity float64, seed int64) runOut {
-	nw := node.New(node.Config{
-		N:               cfg.Nodes,
-		Rect:            geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range:           cfg.Range,
-		Seed:            seed,
-		EnsureConnected: true,
-		Runtime:         ctx.Runtime(),
-		Tiles:           cfg.Tiles,
-	})
-	switch proto {
-	case ProtoRouteless:
-		rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
-	case ProtoAODV:
-		acfg := routing.AODVConfig{NoHello: true}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewAODV(acfg) })
-	case ProtoGradient:
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewGradient(routing.GradientConfig{}) })
-	default:
-		panic("experiments: unknown protocol " + string(proto))
+// rig is the Figure 3/4 rig at the churn study's field and traffic
+// settings.
+func (c ChurnConfig) rig() Fig34Config {
+	return Fig34Config{
+		Nodes: c.Nodes, Terrain: c.Terrain, Range: c.Range,
+		Interval: c.Interval, Duration: c.Duration, Tiles: c.Tiles,
+		Lambda: c.Lambda, DataSize: c.DataSize,
 	}
-
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-
-	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, cfg.Pairs)
-	endpoint := make(map[packet.NodeID]bool, 2*cfg.Pairs)
-	var cbrs []*traffic.CBR
-	for _, p := range conns {
-		endpoint[p.Src] = true
-		endpoint[p.Dst] = true
-		fwd := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(cfg.Interval), cfg.DataSize)
-		rev := traffic.NewCBR(nw.Nodes[p.Dst], p.Src, sim.Time(cfg.Interval), cfg.DataSize)
-		tap.Watch(fwd)
-		tap.Watch(rev)
-		fwd.Start()
-		rev.Start()
-		cbrs = append(cbrs, fwd, rev)
-	}
-
-	var excl []packet.NodeID
-	for _, n := range nw.Nodes {
-		if endpoint[n.ID] {
-			excl = append(excl, n.ID)
-		}
-	}
-	fault.Install(nw, churnPlan(intensity, excl))
-
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, true)}
 }
 
 // ChurnRow is one intensity point of the churn study.
@@ -202,7 +142,11 @@ func RunChurn(cfg ChurnConfig) []ChurnRow {
 	cells := sweep.Cells("churn", len(cfg.Intensities)*numChurnProtos, cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		ii, pi := c.Point/numChurnProtos, c.Point%numChurnProtos
-		return runChurnOnce(ctx, cfg, churnProto(pi), cfg.Intensities[ii], c.Seed)
+		sc, endpoints := cfg.rig().doc(churnProto(pi), cfg.Pairs, c.Seed)
+		sc.Faults = churnFaults(cfg.Intensities[ii], endpoints)
+		// The repair-latency histograms are the study's output, so the
+		// snapshot is captured whether or not the sweep journals.
+		return runDoc(ctx, sc, true)
 	})
 	rows := make([]ChurnRow, len(cfg.Intensities))
 	for i, x := range cfg.Intensities {
@@ -214,15 +158,15 @@ func RunChurn(cfg ChurnConfig) []ChurnRow {
 		proto := churnProto(pi)
 		rep, _ := results[i].snap.Get(repairSeries(proto))
 		switch proto {
-		case ProtoRouteless:
+		case scenario.ProtoRouteless:
 			row.RR.Add(results[i].RunMetrics)
 			row.RRRepairS.Add(rep.Value)
 			row.RRRepairs.Add(float64(rep.Count))
-		case ProtoAODV:
+		case scenario.ProtoAODV:
 			row.AODV.Add(results[i].RunMetrics)
 			row.AODVRepairS.Add(rep.Value)
 			row.AODVRepairs.Add(float64(rep.Count))
-		case ProtoGradient:
+		case scenario.ProtoGradient:
 			row.Gradient.Add(results[i].RunMetrics)
 			row.GradientRepairS.Add(rep.Value)
 			row.GradientRepairs.Add(float64(rep.Count))

@@ -10,10 +10,12 @@ import (
 
 // processed accumulates the kernel event counts of every run executed
 // by this package since the last ResetEventCount. Trials of one figure
-// run concurrently (internal/parallel), so the accumulator is atomic;
+// run concurrently on sweep workers, so the accumulator is atomic;
 // because addition commutes, the total does not depend on completion
 // order and stays deterministic. cmd/simbench divides this by wall
 // time to report events/sec, the kernel's headline throughput number.
+// Only the harnesses add to it: document runs built elsewhere (simserve,
+// the fuzzer) leave it untouched.
 var processed atomic.Uint64
 
 // ResetEventCount zeroes the package-wide event counter.

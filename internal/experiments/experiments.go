@@ -7,22 +7,16 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"routeless/internal/metrics"
 	"routeless/internal/node"
-	"routeless/internal/packet"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
-	"routeless/internal/traffic"
+	"routeless/internal/sweep"
 )
-
-// RunMetrics is one simulation run's outcome in the paper's units.
-type RunMetrics struct {
-	Delay      float64 // mean end-to-end delay, seconds
-	Hops       float64 // mean hop count of delivered packets
-	Delivery   float64 // delivered / sent
-	MACPackets float64 // total MAC-layer transmissions
-	EnergyJ    float64 // total radio energy, joules
-}
 
 // Agg aggregates RunMetrics across seeds.
 type Agg struct {
@@ -30,7 +24,7 @@ type Agg struct {
 }
 
 // Add folds one run into the aggregate.
-func (a *Agg) Add(m RunMetrics) {
+func (a *Agg) Add(m scenario.RunMetrics) {
 	a.Delay.Add(m.Delay)
 	a.Hops.Add(m.Hops)
 	a.Delivery.Add(m.Delivery)
@@ -38,138 +32,38 @@ func (a *Agg) Add(m RunMetrics) {
 	a.EnergyJ.Add(m.EnergyJ)
 }
 
-// appSample is one application delivery as buffered by the tap: its
-// receive time plus the delay/hops the meter scores.
-type appSample struct {
-	at    sim.Time
-	delay float64
-	hops  int
-}
-
-// AppTap meters application traffic across all nodes without touching
-// the shared Meter from inside event handlers. Deliveries append to a
-// per-tile buffer (handlers on one tile only write that tile's buffer,
-// so the tap is safe under tiled PDES); fold replays them into the
-// Meter after the run in global time order — on a sequential network
-// that is exactly the append order, so the Welford fold sequence, and
-// hence every journaled app.* value, is unchanged from the inline
-// metering it replaces. Sends are counted from each watched CBR's own
-// counter instead of a shared-callback increment.
-//
-// The type is exported for the scenario fuzzer (internal/fuzz), which
-// meters generated workloads through the exact tap the figures use so
-// both face the same oracle.
-type AppTap struct {
-	m      *stats.Meter
-	bufs   [][]appSample
-	cbrs   []*traffic.CBR
-	folded bool
-}
-
-// NewAppTap attaches the tap to every node and exposes the (folded)
-// meter on the network registry as the app.* series. Snapshots are
-// taken after collect, which folds first, so journaled values see the
-// complete run.
-func NewAppTap(nw *node.Network, m *stats.Meter) *AppTap {
-	t := &AppTap{m: m, bufs: make([][]appSample, nw.NumTiles())}
-	for _, n := range nw.Nodes {
-		n := n
-		n.OnAppReceive = func(p *packet.Packet) {
-			now := n.Kernel.Now()
-			t.bufs[n.Tile] = append(t.bufs[n.Tile], appSample{
-				at:    now,
-				delay: float64(now - p.CreatedAt),
-				hops:  p.HopCount,
-			})
-		}
-	}
-	nw.Metrics.Func("app.sent", func() uint64 { return m.Sent })
-	nw.Metrics.Func("app.received", func() uint64 { return m.Received })
-	nw.Metrics.GaugeFunc("app.delay_mean_s", func() float64 { return m.Delay.Mean() })
-	nw.Metrics.GaugeFunc("app.hops_mean", func() float64 { return m.Hops.Mean() })
-	return t
-}
-
-// Watch registers a CBR flow whose generation count the fold adds to
-// the meter's Sent.
-func (t *AppTap) Watch(c *traffic.CBR) { t.cbrs = append(t.cbrs, c) }
-
-// fold replays the buffered deliveries into the meter in (time, tile)
-// order and folds the watched send counters. Idempotent.
-func (t *AppTap) fold() {
-	if t.folded {
-		return
-	}
-	t.folded = true
-	for _, c := range t.cbrs {
-		t.m.Sent += c.Sent()
-	}
-	if len(t.bufs) == 1 {
-		for _, s := range t.bufs[0] {
-			t.m.PacketReceived(s.delay, s.hops)
-		}
-		return
-	}
-	// k-way merge; strict < keeps the lowest tile on equal timestamps.
-	idx := make([]int, len(t.bufs))
-	for {
-		best := -1
-		var bestAt sim.Time
-		for ti, b := range t.bufs {
-			if idx[ti] >= len(b) {
-				continue
-			}
-			if best < 0 || b[idx[ti]].at < bestAt {
-				best, bestAt = ti, b[idx[ti]].at
-			}
-		}
-		if best < 0 {
-			return
-		}
-		s := t.bufs[best][idx[best]]
-		idx[best]++
-		t.m.PacketReceived(s.delay, s.hops)
-	}
-}
-
-// CollectChecked is the shared run-under-oracle helper: it folds the
-// tap, counts the network's events into the package throughput
-// accumulator, evaluates every conservation law and invariant, and
-// returns the run's paper-unit metrics together with any oracle
-// violation as an error value. Every experiment run funnels through
-// here via collect (which panics — a violation there is a simulator
-// bug, not a measurement); the scenario fuzzer calls it directly and
-// classifies the error as a verdict instead.
-func CollectChecked(nw *node.Network, t *AppTap) (RunMetrics, error) {
-	t.fold()
-	countNetworkEvents(nw)
-	err := nw.CheckInvariants()
-	m := t.m
-	return RunMetrics{
-		Delay:      m.Delay.Mean(),
-		Hops:       m.Hops.Mean(),
-		Delivery:   m.DeliveryRatio(),
-		MACPackets: float64(nw.MACPackets()),
-		EnergyJ:    nw.TotalEnergy(),
-	}, err
-}
-
-// collect converts a finished network + tap into RunMetrics, panicking
-// on any conservation-law violation.
-func collect(nw *node.Network, t *AppTap) RunMetrics {
-	rm, err := CollectChecked(nw, t)
+// mustPass returns a finished run's metrics, panicking on an oracle
+// verdict: in a harness, a conservation-law violation is a simulator
+// bug, not a measurement.
+func mustPass(rm scenario.RunMetrics, err error) scenario.RunMetrics {
 	if err != nil {
 		panic(err)
 	}
 	return rm
 }
 
-// runOut is one run's result as it crosses the parallel.Map boundary:
+// runOut is one run's result as it crosses the sweep boundary:
 // the paper-unit metrics, plus the final registry snapshot when the
 // sweep is journaling (nil otherwise — snapshots are not free).
 type runOut struct {
-	RunMetrics
+	scenario.RunMetrics
 	snap *metrics.Snapshot
+}
+
+// runDoc builds one harness document on the worker's runtime, finishes
+// it under the oracle, and counts its events into the package
+// throughput accumulator; snap captures the final metric snapshot. A
+// harness document that fails to build is a harness bug, so it panics
+// with the document named.
+func runDoc(ctx *sweep.Context, sc scenario.Scenario, snap bool) runOut {
+	run, err := scenario.BuildWith(sc, scenario.BuildOptions{Runtime: ctx.Runtime()})
+	if err != nil {
+		doc, _ := json.Marshal(sc)
+		panic(fmt.Sprintf("experiments: harness document does not build: %v\n%s", err, doc))
+	}
+	rm := mustPass(run.Finish())
+	countNetworkEvents(run.Network())
+	return runOut{rm, snapshotIf(run.Network(), snap)}
 }
 
 // snapshotIf captures the network's final metric snapshot when want is
@@ -184,6 +78,3 @@ func snapshotIf(nw *node.Network, want bool) *metrics.Snapshot {
 // drainTime is how long runs continue after traffic stops so in-flight
 // packets can land.
 const drainTime sim.Time = 5
-
-// simTime re-exports sim.Time for test ergonomics.
-type simTime = sim.Time

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"routeless/internal/sim"
 )
 
 // Scaled-down configs keep the suite fast while preserving density and
@@ -175,7 +177,7 @@ func TestAbl2LambdaTradeoff(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	cfg := smallFig34()
-	rows := RunAbl2(cfg, []sim2{2e-3, 100e-3}, 4)
+	rows := RunAbl2(cfg, []sim.Time{2e-3, 100e-3}, 4)
 	small, large := rows[0], rows[1]
 	// §4.1: "A large λ would increase the end-to-end delay".
 	if large.RR.Delay.Mean() <= small.RR.Delay.Mean() {
@@ -183,9 +185,6 @@ func TestAbl2LambdaTradeoff(t *testing.T) {
 			large.RR.Delay.Mean(), small.RR.Delay.Mean())
 	}
 }
-
-// sim2 aliases sim.Time without importing it twice in tests.
-type sim2 = simTime
 
 func TestAbl3ElectionScaling(t *testing.T) {
 	rows := RunAbl3(0, []int{2, 20}, 120, 10e-3, 7)

@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"routeless/internal/flood"
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
-	"routeless/internal/node"
-	"routeless/internal/phy"
-	"routeless/internal/propagation"
 	"routeless/internal/rng"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
@@ -93,7 +89,7 @@ func RunFig1(cfg Fig1Config) []Fig1Row {
 	cells := sweep.Cells("fig1", len(cfg.Intervals)*2, cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		interval, ssaf := fig1Point(cfg, c.Point)
-		return runFloodOnce(ctx, cfg, interval, ssaf, c.Seed)
+		return runDoc(ctx, cfg.doc(interval, ssaf, c.Seed), cfg.Journal != nil)
 	})
 	rows := make([]Fig1Row, len(cfg.Intervals))
 	for i, iv := range cfg.Intervals {
@@ -127,51 +123,22 @@ func RunFig1(cfg Fig1Config) []Fig1Row {
 	return rows
 }
 
-// ssafSpan returns the RSSI range SSAF maps onto its delay band: the
-// decode threshold (far edge) up to the power at one tenth of the
-// transmission range (near).
-func ssafSpan(rangeM float64) (minDBm, maxDBm float64) {
-	model := propagation.NewFreeSpace()
-	params := phy.DefaultParams(model, rangeM)
-	minDBm = params.RxThreshDBm
-	maxDBm = propagation.ThresholdFor(model, params.TxPowerDBm, rangeM/10)
-	return
-}
-
-func runFloodOnce(ctx *sweep.Context, cfg Fig1Config, interval float64, ssaf bool, seed int64) runOut {
-	nw := node.New(node.Config{
-		N:               cfg.Nodes,
-		Rect:            geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range:           cfg.Range,
-		Seed:            seed,
-		EnsureConnected: true,
-		Runtime:         ctx.Runtime(),
-		Tiles:           cfg.Tiles,
-	})
-	var fcfg flood.Config
+// doc renders one Figure 1 run as a scenario document: Connections
+// random one-way flows, flooded by counter-1 or SSAF.
+func (c Fig1Config) doc(interval float64, ssaf bool, seed int64) scenario.Scenario {
+	sc := scenario.Scenario{
+		Seed: seed, N: c.Nodes, Width: c.Terrain, Height: c.Terrain, Range: c.Range,
+		Placement: scenario.PlaceUniform, Connected: true, Tiles: c.Tiles,
+		Protocol: scenario.ProtoCounter1, Lambda: float64(c.Lambda),
+		Interval: interval, DataSize: c.DataSize, Duration: c.Duration,
+	}
 	if ssaf {
-		minDBm, maxDBm := ssafSpan(cfg.Range)
-		fcfg = flood.SSAFConfig(cfg.Lambda, minDBm, maxDBm)
-	} else {
-		fcfg = flood.Counter1Config(cfg.Lambda)
+		sc.Protocol = scenario.ProtoSSAF
 	}
-	nw.Install(func(n *node.Node) node.Protocol { return flood.New(&fcfg) })
-
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-	pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, cfg.Connections)
-	cbrs := make([]*traffic.CBR, len(pairs))
-	for i, p := range pairs {
-		cbrs[i] = traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(interval), cfg.DataSize)
-		tap.Watch(cbrs[i])
-		cbrs[i].Start()
+	for _, p := range traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), c.Nodes, c.Connections) {
+		sc.Flows = append(sc.Flows, scenario.Flow{Src: int(p.Src), Dst: int(p.Dst)})
 	}
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, cfg.Journal != nil)}
+	return sc
 }
 
 // Fig1Table renders the three panels as one table.

@@ -2,28 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"routeless/internal/fault"
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
-	"routeless/internal/node"
-	"routeless/internal/packet"
 	"routeless/internal/rng"
-	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
 	"routeless/internal/traffic"
-)
-
-// RoutingProto selects the protocol under test in Figures 3 and 4.
-type RoutingProto string
-
-// Protocols the routing experiments can run.
-const (
-	ProtoRouteless RoutingProto = "routeless"
-	ProtoAODV      RoutingProto = "aodv"
-	ProtoGradient  RoutingProto = "gradient"
 )
 
 // Fig34Config covers both routing figures: Figure 3 sweeps the number
@@ -94,75 +81,44 @@ func (c Fig34Config) withDefaults() Fig34Config {
 	return c
 }
 
-// runRoutingOnce builds a network, installs the protocol, starts
-// bidirectional CBR over `pairs` connections, injects duty-cycle
-// failures on non-endpoint nodes, and measures.
-func runRoutingOnce(ctx *sweep.Context, cfg Fig34Config, proto RoutingProto, pairs int, failurePct float64, seed int64) runOut {
-	nw := node.New(node.Config{
-		N:               cfg.Nodes,
-		Rect:            geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range:           cfg.Range,
-		Seed:            seed,
-		EnsureConnected: true,
-		Runtime:         ctx.Runtime(),
-		Tiles:           cfg.Tiles,
-	})
-	switch proto {
-	case ProtoRouteless:
-		rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
-	case ProtoAODV:
-		acfg := routing.AODVConfig{NoHello: true}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewAODV(acfg) })
-	case ProtoGradient:
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewGradient(routing.GradientConfig{}) })
-	default:
-		panic("experiments: unknown protocol " + string(proto))
+// doc renders one run of the §4.3 rig as a scenario document: `pairs`
+// random connections, each carrying CBR in both directions ("the
+// traffic being bidirectional", §4.3), routed by proto. It also returns
+// the traffic endpoints, ascending: the nodes §4.3's failures spare
+// ("all nodes but those that generate and receive CBR traffic").
+func (c Fig34Config) doc(proto string, pairs int, seed int64) (sc scenario.Scenario, endpoints []int) {
+	sc = scenario.Scenario{
+		Seed: seed, N: c.Nodes, Width: c.Terrain, Height: c.Terrain, Range: c.Range,
+		Placement: scenario.PlaceUniform, Connected: true, Tiles: c.Tiles,
+		Protocol: proto, Lambda: float64(c.Lambda),
+		Interval: c.Interval, DataSize: c.DataSize, Duration: c.Duration,
 	}
-
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-
-	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, pairs)
-	endpoint := make(map[packet.NodeID]bool, 2*pairs)
-	var cbrs []*traffic.CBR
-	for _, p := range conns {
-		endpoint[p.Src] = true
-		endpoint[p.Dst] = true
-		// "the traffic being bidirectional" (§4.3): both directions.
-		fwd := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(cfg.Interval), cfg.DataSize)
-		rev := traffic.NewCBR(nw.Nodes[p.Dst], p.Src, sim.Time(cfg.Interval), cfg.DataSize)
-		tap.Watch(fwd)
-		tap.Watch(rev)
-		fwd.Start()
-		rev.Start()
-		cbrs = append(cbrs, fwd, rev)
+	for _, p := range traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), c.Nodes, pairs) {
+		fwd := scenario.Flow{Src: int(p.Src), Dst: int(p.Dst)}
+		sc.Flows = append(sc.Flows, fwd, scenario.Flow{Src: fwd.Dst, Dst: fwd.Src})
+		endpoints = append(endpoints, fwd.Src, fwd.Dst)
 	}
+	slices.Sort(endpoints)
+	return sc, slices.Compact(endpoints)
+}
 
-	// "node failures are artificially introduced to turn off
-	// transceivers in all nodes but those that generate and receive CBR
-	// traffic" (§4.3). The crash fault routes through the fault plane,
-	// which reuses the per-node StreamFailure streams and installs in
-	// node-id order — bitwise identical to the hand-wired loop this
-	// replaces, plus fault.* recovery series in the journal snapshots.
-	if failurePct > 0 {
-		var excl []packet.NodeID
-		for _, n := range nw.Nodes {
-			if endpoint[n.ID] {
-				excl = append(excl, n.ID)
-			}
-		}
-		crash := fault.Crash(failurePct)
-		crash.Exclude = excl
-		fault.Install(nw, fault.Plan{crash})
+// crashFaults is §4.3's duty-cycle failure (or, with sleep, §4.2's
+// voluntary sleep) on every node but the traffic endpoints. A zero off
+// fraction means no fault plan at all.
+func crashFaults(offFraction float64, sleep bool, endpoints []int) []scenario.FaultSpec {
+	if offFraction <= 0 {
+		return nil
 	}
+	return []scenario.FaultSpec{{Kind: "crash", OffFraction: offFraction, Sleep: sleep, Exclude: endpoints}}
+}
 
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
+// versusProto maps the two-protocol flattening of Figures 3 and 4 to
+// the protocol under test: AODV on even points, Routeless on odd.
+func versusProto(challenger bool) string {
+	if challenger {
+		return scenario.ProtoRouteless
 	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, cfg.Journal != nil)}
+	return scenario.ProtoAODV
 }
 
 // Fig3Row is one x-axis point of the four Figure 3 panels.
@@ -183,11 +139,8 @@ func RunFig3(cfg Fig34Config) []Fig3Row {
 	cells := sweep.Cells("fig3", len(cfg.Pairs)*2, cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		pi, rr := versusPoint(c.Point)
-		proto := ProtoAODV
-		if rr {
-			proto = ProtoRouteless
-		}
-		return runRoutingOnce(ctx, cfg, proto, cfg.Pairs[pi], 0, c.Seed)
+		sc, _ := cfg.doc(versusProto(rr), cfg.Pairs[pi], c.Seed)
+		return runDoc(ctx, sc, cfg.Journal != nil)
 	})
 	rows := make([]Fig3Row, len(cfg.Pairs))
 	for i, p := range cfg.Pairs {
@@ -204,14 +157,10 @@ func RunFig3(cfg Fig34Config) []Fig3Row {
 	if cfg.Journal != nil {
 		for i, c := range cells {
 			pi, rr := versusPoint(c.Point)
-			proto := ProtoAODV
-			if rr {
-				proto = ProtoRouteless
-			}
 			// A write failure sticks on the journal; callers check Err once.
 			_ = cfg.Journal.Write(metrics.Record{
 				Experiment: "fig3",
-				Label:      fmt.Sprintf("%s pairs=%d", proto, cfg.Pairs[pi]),
+				Label:      fmt.Sprintf("%s pairs=%d", versusProto(rr), cfg.Pairs[pi]),
 				Seed:       c.Seed,
 				Config:     cfg,
 				Metrics:    results[i].snap,
@@ -255,11 +204,9 @@ func RunFig4(cfg Fig34Config) []Fig4Row {
 	cells := sweep.Cells("fig4", len(cfg.FailurePcts)*2, cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		pi, rr := versusPoint(c.Point)
-		proto := ProtoAODV
-		if rr {
-			proto = ProtoRouteless
-		}
-		return runRoutingOnce(ctx, cfg, proto, cfg.Fig4Pairs, cfg.FailurePcts[pi], c.Seed)
+		sc, endpoints := cfg.doc(versusProto(rr), cfg.Fig4Pairs, c.Seed)
+		sc.Faults = crashFaults(cfg.FailurePcts[pi], false, endpoints)
+		return runDoc(ctx, sc, cfg.Journal != nil)
 	})
 	rows := make([]Fig4Row, len(cfg.FailurePcts))
 	for i, pct := range cfg.FailurePcts {
@@ -276,14 +223,10 @@ func RunFig4(cfg Fig34Config) []Fig4Row {
 	if cfg.Journal != nil {
 		for i, c := range cells {
 			pi, rr := versusPoint(c.Point)
-			proto := ProtoAODV
-			if rr {
-				proto = ProtoRouteless
-			}
 			// A write failure sticks on the journal; callers check Err once.
 			_ = cfg.Journal.Write(metrics.Record{
 				Experiment: "fig4",
-				Label:      fmt.Sprintf("%s failure=%g", proto, cfg.FailurePcts[pi]),
+				Label:      fmt.Sprintf("%s failure=%g", versusProto(rr), cfg.FailurePcts[pi]),
 				Seed:       c.Seed,
 				Config:     cfg,
 				Metrics:    results[i].snap,

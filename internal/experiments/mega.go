@@ -10,6 +10,7 @@ import (
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/rng"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
@@ -174,7 +175,7 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 		LinkCacheCap: cfg.LinkCacheCap,
 		CompactRNG:   true,
 	})
-	minDBm, maxDBm := ssafSpan(cfg.Range)
+	minDBm, maxDBm := scenario.SSAFSpan(cfg.Range)
 	fcfg := flood.SSAFConfig(cfg.Lambda, minDBm, maxDBm)
 	// The default TTL of 32 suits paper-scale arenas; a mega arena's
 	// diagonal is hundreds of hops (SSAF's effective hop progress is
@@ -196,8 +197,7 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 		cfg.MemProbe(n, retainedHeap()-baseline)
 	}
 
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
+	tap := scenario.NewAppTap(nw)
 	dur := megaDuration(cfg, side)
 	pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, cfg.Flows)
 	cbrs := make([]*traffic.CBR, len(pairs))
@@ -213,7 +213,9 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 		c.Stop()
 	}
 	nw.Run(sim.Time(dur) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, cfg.Journal != nil)}
+	countNetworkEvents(nw)
+	rm := mustPass(scenario.CollectChecked(nw, tap))
+	return runOut{rm, snapshotIf(nw, cfg.Journal != nil)}
 }
 
 // retainedHeap forces a collection and returns the live heap bytes —

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"routeless/internal/scenario"
 )
 
 // Fixture is a replayable failing scenario: the shrunken scenario, the
@@ -13,7 +15,7 @@ import (
 // replays them, so every bug the fuzzer ever found stays fixed.
 type Fixture struct {
 	// Scenario is the (shrunken) reproducer.
-	Scenario Scenario `json:"scenario"`
+	Scenario scenario.Scenario `json:"scenario"`
 	// Verdict is the verdict the scenario produced when captured.
 	Verdict string `json:"verdict"`
 	// Detail is the captured failure detail (first violation, panic

@@ -3,6 +3,8 @@ package fuzz
 import (
 	"reflect"
 	"testing"
+
+	"routeless/internal/scenario"
 )
 
 // TestGenerateDeterministic pins the generator as a pure function of
@@ -67,12 +69,12 @@ func TestGenerateCoversFeatures(t *testing.T) {
 			faulted++
 		}
 	}
-	for _, p := range placements {
+	for _, p := range scenario.Placements {
 		if !seenPlacement[p] {
 			t.Errorf("placement %q never generated", p)
 		}
 	}
-	for _, p := range protocols {
+	for _, p := range scenario.Protocols {
 		if !seenProto[p] {
 			t.Errorf("protocol %q never generated", p)
 		}

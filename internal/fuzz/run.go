@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"routeless/internal/experiments"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/scenario"
@@ -50,7 +49,7 @@ type Result struct {
 	// invariant-violation verdicts.
 	Violations []metrics.Violation `json:"violations,omitempty"`
 	// Metrics carries the run's paper-unit outcome on pass verdicts.
-	Metrics *experiments.RunMetrics `json:"metrics,omitempty"`
+	Metrics *scenario.RunMetrics `json:"metrics,omitempty"`
 }
 
 // Failed reports whether the verdict indicates a simulator bug
@@ -74,7 +73,7 @@ type Runner struct {
 // Run executes the scenario under the full oracle: validate, run once
 // under CheckInvariants, then re-run under the same seed and compare
 // metric snapshots byte for byte.
-func (r *Runner) Run(sc Scenario) Result {
+func (r *Runner) Run(sc scenario.Scenario) Result {
 	if err := sc.Validate(); err != nil {
 		return Result{Verdict: VerdictInvalid, Detail: err.Error()}
 	}
@@ -118,7 +117,7 @@ func (r *Runner) Run(sc Scenario) Result {
 // onceOut is one simulation attempt's raw outcome.
 type onceOut struct {
 	snap       []byte // final metric snapshot, canonical JSON
-	metrics    experiments.RunMetrics
+	metrics    scenario.RunMetrics
 	violations []metrics.Violation
 	buildErr   error
 	panicMsg   string
@@ -128,7 +127,7 @@ type onceOut struct {
 // converting any panic into a value. The build path goes through the
 // error-returning TryNew / TryInstall entry points, so only genuine
 // simulator bugs can still reach the recover.
-func (r *Runner) runOnce(sc Scenario, runIdx int) (out onceOut) {
+func (r *Runner) runOnce(sc scenario.Scenario, runIdx int) (out onceOut) {
 	defer func() {
 		if p := recover(); p != nil {
 			out.panicMsg = fmt.Sprintf("%v\n%s", p, debug.Stack())
@@ -168,7 +167,7 @@ func (r *Runner) runOnce(sc Scenario, runIdx int) (out onceOut) {
 // difference between the two final metric snapshots is a
 // determinism-divergence: the snapshot contract — "run 2T" ≡ "run T,
 // snapshot, restore, run T" — is broken.
-func (r *Runner) RunSnapshot(sc Scenario) Result {
+func (r *Runner) RunSnapshot(sc scenario.Scenario) Result {
 	if err := sc.Validate(); err != nil {
 		return Result{Verdict: VerdictInvalid, Detail: err.Error()}
 	}
@@ -202,7 +201,7 @@ func (r *Runner) RunSnapshot(sc Scenario) Result {
 
 // snapshotOnce runs to the midpoint, checkpoints, restores, finishes
 // the restored run, and returns its final metric snapshot bytes.
-func (r *Runner) snapshotOnce(sc Scenario) (snapBytes []byte, err error) {
+func (r *Runner) snapshotOnce(sc scenario.Scenario) (snapBytes []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic during snapshot cross-check: %v\n%s", p, debug.Stack())

@@ -4,15 +4,17 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"routeless/internal/scenario"
 )
 
 // valid returns a small scenario that passes Validate; cases mutate it.
-func valid() Scenario {
-	return Scenario{
+func valid() scenario.Scenario {
+	return scenario.Scenario{
 		Seed: 1, N: 10, Width: 500, Height: 500, Range: 250,
-		Placement: PlaceUniform, Connected: true,
-		Protocol: ProtoCounter1,
-		Flows:    []Flow{{Src: 0, Dst: 9}},
+		Placement: scenario.PlaceUniform, Connected: true,
+		Protocol: scenario.ProtoCounter1,
+		Flows:    []scenario.Flow{{Src: 0, Dst: 9}},
 		Interval: 0.5, DataSize: 64, Duration: 2,
 	}
 }
@@ -26,40 +28,40 @@ func TestValidateAcceptsBaseline(t *testing.T) {
 func TestValidateConstraintMatrix(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*Scenario)
+		mut  func(*scenario.Scenario)
 		want string // substring of the error
 	}{
-		{"n too small", func(s *Scenario) { s.N = 1 }, "N must be at least 2"},
-		{"width nan", func(s *Scenario) { s.Width = math.NaN() }, "Width"},
-		{"height negative", func(s *Scenario) { s.Height = -10 }, "Height"},
-		{"range zero", func(s *Scenario) { s.Range = 0 }, "Range"},
-		{"unknown placement", func(s *Scenario) { s.Placement = "ring" }, "unknown placement"},
-		{"connected non-uniform", func(s *Scenario) { s.Placement = PlaceGrid }, "Connected requires uniform"},
-		{"unknown protocol", func(s *Scenario) { s.Protocol = "ospf" }, "unknown protocol"},
-		{"lambda negative", func(s *Scenario) { s.Lambda = -1 }, "Lambda"},
-		{"interval inf", func(s *Scenario) { s.Interval = math.Inf(1) }, "Interval"},
-		{"duration zero", func(s *Scenario) { s.Duration = 0 }, "Duration"},
-		{"datasize zero", func(s *Scenario) { s.DataSize = 0 }, "DataSize"},
-		{"flow out of range", func(s *Scenario) { s.Flows = []Flow{{Src: 0, Dst: 10}} }, "outside"},
-		{"flow self loop", func(s *Scenario) { s.Flows = []Flow{{Src: 3, Dst: 3}} }, "self-loop"},
-		{"flow duplicate", func(s *Scenario) {
-			s.Flows = []Flow{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}}
+		{"n too small", func(s *scenario.Scenario) { s.N = 1 }, "N must be at least 2"},
+		{"width nan", func(s *scenario.Scenario) { s.Width = math.NaN() }, "Width"},
+		{"height negative", func(s *scenario.Scenario) { s.Height = -10 }, "Height"},
+		{"range zero", func(s *scenario.Scenario) { s.Range = 0 }, "Range"},
+		{"unknown placement", func(s *scenario.Scenario) { s.Placement = "ring" }, "unknown placement"},
+		{"connected non-uniform", func(s *scenario.Scenario) { s.Placement = scenario.PlaceGrid }, "Connected requires uniform"},
+		{"unknown protocol", func(s *scenario.Scenario) { s.Protocol = "ospf" }, "unknown protocol"},
+		{"lambda negative", func(s *scenario.Scenario) { s.Lambda = -1 }, "Lambda"},
+		{"interval inf", func(s *scenario.Scenario) { s.Interval = math.Inf(1) }, "Interval"},
+		{"duration zero", func(s *scenario.Scenario) { s.Duration = 0 }, "Duration"},
+		{"datasize zero", func(s *scenario.Scenario) { s.DataSize = 0 }, "DataSize"},
+		{"flow out of range", func(s *scenario.Scenario) { s.Flows = []scenario.Flow{{Src: 0, Dst: 10}} }, "outside"},
+		{"flow self loop", func(s *scenario.Scenario) { s.Flows = []scenario.Flow{{Src: 3, Dst: 3}} }, "self-loop"},
+		{"flow duplicate", func(s *scenario.Scenario) {
+			s.Flows = []scenario.Flow{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}}
 		}, "duplicate flow"},
-		{"movers zero", func(s *Scenario) { s.Mobility = &Mobility{Movers: 0, MaxSpeed: 1} }, "Movers"},
-		{"movers beyond n", func(s *Scenario) { s.Mobility = &Mobility{Movers: 11, MaxSpeed: 1} }, "Movers"},
-		{"speeds inverted", func(s *Scenario) {
-			s.Mobility = &Mobility{Movers: 1, MinSpeed: 5, MaxSpeed: 1}
+		{"movers zero", func(s *scenario.Scenario) { s.Mobility = &scenario.Mobility{Movers: 0, MaxSpeed: 1} }, "Movers"},
+		{"movers beyond n", func(s *scenario.Scenario) { s.Mobility = &scenario.Mobility{Movers: 11, MaxSpeed: 1} }, "Movers"},
+		{"speeds inverted", func(s *scenario.Scenario) {
+			s.Mobility = &scenario.Mobility{Movers: 1, MinSpeed: 5, MaxSpeed: 1}
 		}, "speeds"},
-		{"tiles negative", func(s *Scenario) { s.Tiles = -1 }, "Tiles"},
-		{"tiled fading", func(s *Scenario) { s.Connected = false; s.Tiles = 4; s.Fading = true }, "fading"},
-		{"tiled mobility", func(s *Scenario) {
+		{"tiles negative", func(s *scenario.Scenario) { s.Tiles = -1 }, "Tiles"},
+		{"tiled fading", func(s *scenario.Scenario) { s.Connected = false; s.Tiles = 4; s.Fading = true }, "fading"},
+		{"tiled mobility", func(s *scenario.Scenario) {
 			s.Connected = false
 			s.Tiles = 4
-			s.Mobility = &Mobility{Movers: 1, MaxSpeed: 1}
+			s.Mobility = &scenario.Mobility{Movers: 1, MaxSpeed: 1}
 		}, "mobility"},
-		{"unknown fault kind", func(s *Scenario) { s.Faults = []FaultSpec{{Kind: "meteor"}} }, "unknown fault kind"},
-		{"bad fault numerics", func(s *Scenario) {
-			s.Faults = []FaultSpec{{Kind: "drain", CapacityJ: -1}}
+		{"unknown fault kind", func(s *scenario.Scenario) { s.Faults = []scenario.FaultSpec{{Kind: "meteor"}} }, "unknown fault kind"},
+		{"bad fault numerics", func(s *scenario.Scenario) {
+			s.Faults = []scenario.FaultSpec{{Kind: "drain", CapacityJ: -1}}
 		}, "CapacityJ"},
 	}
 	for _, tc := range cases {
@@ -80,10 +82,10 @@ func TestValidateConstraintMatrix(t *testing.T) {
 func TestValidateAcceptsFullFeatureSet(t *testing.T) {
 	sc := valid()
 	sc.Connected = false
-	sc.Placement = PlaceCluster
+	sc.Placement = scenario.PlaceCluster
 	sc.Fading = true
-	sc.Mobility = &Mobility{Movers: 3, MinSpeed: 1, MaxSpeed: 5}
-	sc.Faults = []FaultSpec{
+	sc.Mobility = &scenario.Mobility{Movers: 3, MinSpeed: 1, MaxSpeed: 5}
+	sc.Faults = []scenario.FaultSpec{
 		{Kind: "crash", OffFraction: 0.1, Cycle: 1},
 		{Kind: "jam", TxPowerDBm: 20, Period: 1, Burst: 0.2, SpeedMps: 3},
 	}
@@ -102,7 +104,7 @@ func TestValidateAcceptsFullFeatureSet(t *testing.T) {
 
 func TestPlanConversion(t *testing.T) {
 	sc := valid()
-	sc.Faults = []FaultSpec{
+	sc.Faults = []scenario.FaultSpec{
 		{Kind: "crash", OffFraction: 0.2},
 		{Kind: "drain", CapacityJ: 1},
 		{Kind: "degrade", OffsetDB: -20},

@@ -369,8 +369,13 @@ func bad() {
 			want: []string{`import "sync"`, "go statement"},
 		},
 		{
-			name: "clean: internal/parallel owns concurrency", analyzer: Goroutine,
+			name: "clean: internal/sweep worker pool owns concurrency", analyzer: Goroutine,
+			path: "routeless/internal/sweep", filename: "sweep.go", src: concSrc,
+		},
+		{
+			name: "catches concurrency in a non-engine package named like a pool", analyzer: Goroutine,
 			path: "routeless/internal/parallel", filename: "parallel.go", src: concSrc,
+			want: []string{`import "sync"`, "go statement"},
 		},
 		{
 			name: "clean: internal/pdes tile engine owns concurrency", analyzer: Goroutine,
@@ -561,24 +566,27 @@ func good(t *tally) { t.hits++ }`,
 func TestSharedCap(t *testing.T) {
 	runFixtures(t, []fixtureCase{
 		{
-			name: "catches package-level var in parallel.ForEach closure", analyzer: SharedCap,
+			name: "catches package-level var in sweep.Run closure", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 var total int
 func bad() {
-	parallel.ForEach(4, 10, func(i int) { total += i })
+	sweep.Run(4, sweep.Cells("f", 10, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
+		total += i
+		return i
+	})
 }`,
 			want: []string{"package-level var total"},
 		},
 		{
-			name: "catches package-level var in parallel.Map closure, once per var", analyzer: SharedCap,
+			name: "catches package-level var in sweep.Run closure, once per var", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 var hits [8]int
 func bad() {
-	parallel.Map(4, 8, func(i int) int {
+	sweep.Run(4, sweep.Cells("f", 8, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
 		hits[i]++
 		return hits[i]
 	})
@@ -689,30 +697,37 @@ func good() {
 			src: `package fix
 import (
 	"sync/atomic"
-	"routeless/internal/parallel"
+	"routeless/internal/sweep"
 )
 var counter atomic.Uint64
 func good() {
-	parallel.ForEach(4, 10, func(i int) { counter.Add(1) })
+	sweep.Run(4, sweep.Cells("f", 10, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) uint64 {
+		return counter.Add(1)
+	})
 }`,
 		},
 		{
 			name: "clean: locals and parameters are worker-scoped work", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 func good(inputs []int) []int {
-	return parallel.Map(4, len(inputs), func(i int) int { return inputs[i] * 2 })
+	return sweep.Run(4, sweep.Cells("f", len(inputs), []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
+		return inputs[i] * 2
+	})
 }`,
 		},
 		{
 			name: "test files may capture freely", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix_test.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 var total int
 func helper() {
-	parallel.ForEach(4, 10, func(i int) { total += i })
+	sweep.Run(4, sweep.Cells("f", 10, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
+		total += i
+		return i
+	})
 }`,
 		},
 	})

@@ -7,9 +7,9 @@ import (
 )
 
 // SharedCap guards the worker-pool ownership contract: a closure
-// handed to parallel.Map/ForEach, sweep.Run, or pdes.Run (directly or
-// through a config field such as pdes.Config.Exchange) executes inside
-// a concurrent engine, so it must not capture shared mutable state.
+// handed to sweep.Run or pdes.Run (directly or through a config field
+// such as pdes.Config.Exchange) executes inside a concurrent engine,
+// so it must not capture shared mutable state.
 // Two capture classes are flagged inside such closures:
 //
 //   - package-level mutable variables (any package's), which every
@@ -30,16 +30,15 @@ import (
 // capture counters to assert scheduling properties.
 var SharedCap = &Analyzer{
 	Name: "sharedcap",
-	Doc:  "forbid closures passed to parallel.Map/ForEach/sweep.Run from capturing shared mutable state",
+	Doc:  "forbid closures passed to sweep.Run/pdes.Run from capturing shared mutable state",
 	Run:  runSharedCap,
 }
 
 // sharedCapEntryPoints maps importPath → function names whose func-lit
 // arguments run concurrently on a worker pool.
 var sharedCapEntryPoints = map[string]map[string]bool{
-	"routeless/internal/parallel": {"Map": true, "ForEach": true},
-	"routeless/internal/sweep":    {"Run": true},
-	"routeless/internal/pdes":     {"Run": true},
+	"routeless/internal/sweep": {"Run": true},
+	"routeless/internal/pdes":  {"Run": true},
 }
 
 // sharedCapPoolTypes are the single-owner types that must never cross

@@ -1,9 +1,9 @@
 // Package pdes mirrors the real tile engine's shape: alongside
-// internal/parallel and internal/sweep, it is the only internal
-// package allowed to own goroutines and sync primitives. The goroutine
-// rule's worker-pool exemption matches by path suffix, so this fixture
-// pins that a `go` statement and a sync import stay clean here while
-// the identical shape in proto.SpawnBad is flagged.
+// internal/sweep, it is the only internal package allowed to own
+// goroutines and sync primitives. The goroutine rule's worker-pool
+// exemption matches by path suffix, so this fixture pins that a `go`
+// statement and a sync import stay clean here while the identical
+// shape in proto.SpawnBad is flagged.
 package pdes
 
 import "sync"

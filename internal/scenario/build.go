@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"routeless/internal/experiments"
 	"routeless/internal/fault"
 	"routeless/internal/flood"
 	"routeless/internal/metrics"
@@ -15,13 +14,11 @@ import (
 	"routeless/internal/rng"
 	"routeless/internal/routing"
 	"routeless/internal/sim"
-	"routeless/internal/stats"
 	"routeless/internal/traffic"
 )
 
-// drainTime mirrors the experiment harness: every run advances this
-// many seconds past traffic stop so in-flight packets settle before
-// the conservation laws are checked.
+// drainTime is how far every run advances past traffic stop so
+// in-flight packets settle before the conservation laws are checked.
 const drainTime sim.Time = 5
 
 // ErrBuild marks scenario construction failures: a validated document
@@ -46,8 +43,7 @@ type BuildOptions struct {
 type Run struct {
 	sc      Scenario
 	nw      *node.Network
-	tap     *experiments.AppTap
-	meter   stats.Meter
+	tap     *appTap
 	cbrs    []*traffic.CBR
 	movers  []*node.Waypoint
 	inj     *fault.Injector
@@ -57,7 +53,7 @@ type Run struct {
 	epochs  int // journal epochs emitted so far
 	stopped bool
 	done    bool
-	rm      experiments.RunMetrics
+	rm      RunMetrics
 	ferr    error
 }
 
@@ -69,9 +65,7 @@ func Build(sc Scenario) (*Run, error) { return BuildWith(sc, BuildOptions{}) }
 // The construction order is frozen — network, protocol, app tap,
 // flows (in document order), movers, fault plan — because stream
 // creation order, metric registration order, and kernel sequence
-// numbers all derive from it. The experiment harnesses follow the same
-// order, which is what lets a scenario document reproduce a harness
-// run bit for bit.
+// numbers all derive from it.
 func BuildWith(sc Scenario, opts BuildOptions) (*Run, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -103,7 +97,7 @@ func BuildWith(sc Scenario, opts BuildOptions) (*Run, error) {
 	r := &Run{sc: sc, nw: nw, tracker: tracker}
 	installProtocol(nw, sc)
 
-	r.tap = experiments.NewAppTap(nw, &r.meter)
+	r.tap = NewAppTap(nw)
 	r.cbrs = make([]*traffic.CBR, len(sc.Flows))
 	for i, f := range sc.Flows {
 		r.cbrs[i] = traffic.NewCBR(nw.Nodes[f.Src], packet.NodeID(f.Dst), sim.Time(sc.Interval), sc.DataSize)
@@ -202,7 +196,7 @@ func (r *Run) emitEpoch(t sim.Time) {
 }
 
 // stopTraffic freezes sources and movers at the traffic deadline,
-// exactly as the experiment harnesses do before their drain window.
+// opening the drain window.
 func (r *Run) stopTraffic() {
 	for _, c := range r.cbrs {
 		c.Stop()
@@ -265,14 +259,14 @@ func (r *Run) AdvanceTo(t sim.Time) error {
 // paper-unit metrics. The returned error is the oracle verdict
 // (invariant violations), not a transport failure; the metrics are
 // valid either way. Finish is idempotent.
-func (r *Run) Finish() (experiments.RunMetrics, error) {
+func (r *Run) Finish() (RunMetrics, error) {
 	if r.done {
 		return r.rm, r.ferr
 	}
 	if err := r.AdvanceTo(r.End()); err != nil {
-		return experiments.RunMetrics{}, err
+		return RunMetrics{}, err
 	}
-	rm, err := experiments.CollectChecked(r.nw, r.tap)
+	rm, err := CollectChecked(r.nw, r.tap)
 	r.rm, r.ferr, r.done = rm, err, true
 	if r.journal != nil {
 		r.journal.Write(metrics.Record{
@@ -285,8 +279,7 @@ func (r *Run) Finish() (experiments.RunMetrics, error) {
 	return rm, err
 }
 
-// installProtocol attaches the scenario's network layer, mirroring the
-// experiment harness's protocol table.
+// installProtocol attaches the scenario's network layer.
 func installProtocol(nw *node.Network, sc Scenario) {
 	lambda := sim.Time(sc.Lambda)
 	if lambda == 0 {
@@ -297,7 +290,7 @@ func installProtocol(nw *node.Network, sc Scenario) {
 		fcfg := flood.Counter1Config(lambda)
 		nw.Install(func(n *node.Node) node.Protocol { return flood.New(&fcfg) })
 	case ProtoSSAF:
-		minDBm, maxDBm := ssafSpan(sc.Range)
+		minDBm, maxDBm := SSAFSpan(sc.Range)
 		fcfg := flood.SSAFConfig(lambda, minDBm, maxDBm)
 		nw.Install(func(n *node.Node) node.Protocol { return flood.New(&fcfg) })
 	case ProtoRouteless:
@@ -314,9 +307,11 @@ func installProtocol(nw *node.Network, sc Scenario) {
 	}
 }
 
-// ssafSpan mirrors the experiment harness's SSAF band: decode threshold
-// up to the power at one tenth of the transmission range.
-func ssafSpan(rangeM float64) (minDBm, maxDBm float64) {
+// SSAFSpan returns the RSSI range SSAF maps onto its delay band: the
+// decode threshold (far edge) up to the power at one tenth of the
+// transmission range (near). Exported for the experiment harnesses that
+// configure SSAF by hand.
+func SSAFSpan(rangeM float64) (minDBm, maxDBm float64) {
 	model := propagation.NewFreeSpace()
 	params := phy.DefaultParams(model, rangeM)
 	minDBm = params.RxThreshDBm

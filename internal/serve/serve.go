@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"sync"
 
-	"routeless/internal/experiments"
 	"routeless/internal/metrics"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
@@ -89,7 +88,7 @@ type runState struct {
 	end     sim.Time
 	done    bool
 	err     string
-	metrics *experiments.RunMetrics
+	metrics *scenario.RunMetrics
 
 	// source is what the run was built from — the scenario document,
 	// or the snapshot doc a resume started at. The snapshot handler
@@ -116,7 +115,7 @@ func (rs *runState) Write(p []byte) (int, error) {
 
 // finish marks the run complete (err empty on success) and wakes every
 // streaming reader.
-func (rs *runState) finish(m *experiments.RunMetrics, errMsg string) {
+func (rs *runState) finish(m *scenario.RunMetrics, errMsg string) {
 	rs.mu.Lock()
 	rs.done = true
 	rs.err = errMsg
@@ -213,7 +212,7 @@ type statusDoc struct {
 	Done bool    `json:"done"`
 	Err  string  `json:"error,omitempty"`
 
-	Metrics *experiments.RunMetrics `json:"metrics,omitempty"`
+	Metrics *scenario.RunMetrics `json:"metrics,omitempty"`
 }
 
 type createdDoc struct {

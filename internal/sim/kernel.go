@@ -7,7 +7,7 @@
 // simulations are causally ordered by the event heap, and determinism
 // (same seed, same schedule, same results) matters more than intra-run
 // parallelism. Parallelism belongs one level up, across runs (see
-// internal/parallel).
+// internal/sweep).
 package sim
 
 import (

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"routeless/internal/node"
-	"routeless/internal/parallel"
 )
 
 // Pool is the persistent form of the sweep engine: long-lived workers,
@@ -26,7 +25,7 @@ type Pool struct {
 // NewPool starts a pool of the given size; workers <= 0 sizes it from
 // GOMAXPROCS.
 func NewPool(workers int) *Pool {
-	workers = parallel.Workers(workers, 1<<30)
+	workers = workerCount(workers, 1<<30)
 	p := &Pool{jobs: make(chan func(*Context))}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)

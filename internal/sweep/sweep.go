@@ -20,10 +20,10 @@
 package sweep
 
 import (
+	"runtime"
 	"sync"
 
 	"routeless/internal/node"
-	"routeless/internal/parallel"
 )
 
 // Cell is one unit of sweep work: one replication of one parameter
@@ -126,18 +126,17 @@ func (q *queue) claim(w int) (int, bool) {
 }
 
 // Run executes fn once per cell across a worker pool and returns the
-// results indexed exactly like cells. workers follows the
-// parallel.Workers clamp: 0 means GOMAXPROCS, never more than
-// len(cells). fn must derive everything from (ctx, cell): captured
-// shared mutable state is a determinism bug (and a sharedcap lint
-// finding). A panic inside fn lets the surviving workers finish the
+// results indexed exactly like cells. workers follows the workerCount
+// clamp: 0 means GOMAXPROCS, never more than len(cells). fn must
+// derive everything from (ctx, cell): captured shared mutable state is
+// a determinism bug (and a sharedcap lint finding). A panic inside fn lets the surviving workers finish the
 // remaining cells, then re-raises on the caller's goroutine.
 func Run[T any](workers int, cells []Cell, fn func(ctx *Context, i int, c Cell) T) []T {
 	n := len(cells)
 	if n == 0 {
 		return nil
 	}
-	workers = parallel.Workers(workers, n)
+	workers = workerCount(workers, n)
 	out := make([]T, n)
 	if workers == 1 {
 		ctx := &Context{worker: 0, rt: node.NewRuntime()}
@@ -150,9 +149,9 @@ func Run[T any](workers int, cells []Cell, fn func(ctx *Context, i int, c Cell) 
 		return out
 	}
 	q := newQueue(n, workers)
-	// parallel.ForEach supplies the pool itself: one goroutine per
-	// worker, first panic re-raised on this goroutine after all exit.
-	parallel.ForEach(workers, workers, func(w int) {
+	// A worker that panics leaves its span to be stolen by the others,
+	// so the remaining cells still run before spawn re-raises.
+	spawn(workers, func(w int) {
 		ctx := &Context{worker: w, rt: node.NewRuntime()}
 		for {
 			i, ok := q.claim(w)
@@ -164,4 +163,53 @@ func Run[T any](workers int, cells []Cell, fn func(ctx *Context, i int, c Cell) 
 		}
 	})
 	return out
+}
+
+// workerCount clamps a requested worker count against n work items: 0
+// (or negative) means GOMAXPROCS, and the result never exceeds n nor
+// drops below 1.
+func workerCount(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
+}
+
+// spawn runs body(w) for every w in [0, workers) on its own goroutine
+// and returns once all have exited. A panicking body does not stop the
+// others: spawn waits for every goroutine, then re-raises the first
+// panic on the caller's goroutine — an ordinary panic the caller can
+// recover from, instead of the process dying on a worker stack.
+func spawn(workers int, body func(w int)) {
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		failure any // first recovered worker panic, re-raised below
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if failure == nil {
+						failure = r
+					}
+					mu.Unlock()
+				}
+			}()
+			body(w)
+		}(w)
+	}
+	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 }

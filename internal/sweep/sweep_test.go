@@ -141,7 +141,8 @@ func TestRunContextOwnership(t *testing.T) {
 }
 
 // A panicking cell must surface on the caller's goroutine after the
-// remaining cells finish (parallel.ForEach's contract, inherited).
+// remaining cells finish: the dead worker's span is stolen by the
+// others, and spawn re-raises only once every worker has exited.
 func TestRunPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cells := Cells("f", 40, []int64{0})
@@ -239,5 +240,71 @@ func TestQuickRunEqualsSerial(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The clamp rule shared by Run and NewPool: 0 or negative means
+// GOMAXPROCS, never more than n, never below 1.
+func TestWorkersClamp(t *testing.T) {
+	cases := []struct {
+		name        string
+		workers, n  int
+		want        int
+		wantAtMost  int  // when >0, bound instead of exact (GOMAXPROCS cases)
+		wantAtLeast int  // paired lower bound
+		exact       bool // compare against want
+	}{
+		{name: "more workers than items", workers: 16, n: 3, want: 3, exact: true},
+		{name: "equal", workers: 4, n: 4, want: 4, exact: true},
+		{name: "fewer workers than items", workers: 2, n: 100, want: 2, exact: true},
+		{name: "zero items still yields one worker", workers: 8, n: 0, want: 1, exact: true},
+		{name: "negative items still yields one worker", workers: 8, n: -5, want: 1, exact: true},
+		{name: "zero workers means GOMAXPROCS clamped to n", workers: 0, n: 2, wantAtMost: 2, wantAtLeast: 1},
+		{name: "negative workers means GOMAXPROCS clamped to n", workers: -3, n: 2, wantAtMost: 2, wantAtLeast: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := workerCount(tc.workers, tc.n)
+			if tc.exact {
+				if got != tc.want {
+					t.Fatalf("workerCount(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+				}
+				return
+			}
+			if got < tc.wantAtLeast || got > tc.wantAtMost {
+				t.Fatalf("workerCount(%d, %d) = %d, want in [%d, %d]", tc.workers, tc.n, got, tc.wantAtLeast, tc.wantAtMost)
+			}
+		})
+	}
+}
+
+// spawn's panic contract, below Run: one body dies at once, the others
+// still run to completion, and the first panic value is re-raised on
+// the caller's goroutine only after they all exit.
+func TestSpawnPanicLetsOthersFinish(t *testing.T) {
+	const workers = 8
+	var finished [workers]int32
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		spawn(workers, func(w int) {
+			if w == 0 {
+				panic("worker boom")
+			}
+			x := int64(1)
+			for j := 0; j < 100000; j++ {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			_ = x
+			atomic.StoreInt32(&finished[w], 1)
+		})
+	}()
+	if s, ok := recovered.(string); !ok || s != "worker boom" {
+		t.Fatalf("re-raised %v, want \"worker boom\"", recovered)
+	}
+	for w := 1; w < workers; w++ {
+		if atomic.LoadInt32(&finished[w]) != 1 {
+			t.Fatalf("worker %d had not finished when spawn re-raised", w)
+		}
 	}
 }

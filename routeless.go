@@ -18,11 +18,9 @@
 //
 // # Quickstart
 //
-//	nw := routeless.NewNetwork(
-//		routeless.WithN(100),
-//		routeless.WithSeed(42),
-//		routeless.WithEnsureConnected(),
-//	)
+//	nw := routeless.NewNetwork(routeless.NetworkConfig{
+//		N: 100, Seed: 42, EnsureConnected: true,
+//	})
 //	nw.Install(func(n *routeless.Node) routeless.Protocol {
 //		return routeless.NewRouteless(routeless.RoutelessConfig{})
 //	})
@@ -30,23 +28,13 @@
 //	nw.Nodes[0].Net.Send(7, 256)
 //	nw.Run(10) // simulated seconds
 //
-// NewNetwork also accepts a full NetworkConfig struct literal — the
-// struct is itself an Option — so both call forms are supported:
-//
-//	nw := routeless.NewNetwork(routeless.NetworkConfig{
-//		N: 100, Seed: 42, EnsureConnected: true,
-//	})
-//
 // Deterministic fault injection (crashes, battery drain, link
-// shadowing, jamming) rides along as an option:
+// shadowing, jamming) installs into a built network:
 //
-//	nw := routeless.NewNetwork(
-//		routeless.WithN(100), routeless.WithSeed(42),
-//		routeless.WithFaults(routeless.FaultPlan{
-//			routeless.Crash(0.05),
-//			routeless.Jam(24.5),
-//		}),
-//	)
+//	routeless.InstallFaults(nw, routeless.FaultPlan{
+//		routeless.Crash(0.05),
+//		routeless.Jam(24.5),
+//	})
 //
 // See examples/ for runnable programs and DESIGN.md for the system
 // inventory.
@@ -127,103 +115,20 @@ type (
 	FailureProcess = node.FailureProcess
 )
 
-// NetworkConfig describes a network to build. It doubles as an Option:
-// passing a whole struct literal to NewNetwork replaces the accumulated
-// field options, so the original call form keeps working unchanged.
+// NetworkConfig describes a network to build.
 type NetworkConfig node.Config
 
-func (c NetworkConfig) apply(s *netSetup) { s.cfg = node.Config(c) }
+// NewNetwork builds a network from cfg. It panics on nonsensical
+// configuration; TryNewNetwork reports the same conditions as error
+// values. Fault plans install afterwards through InstallFaults.
+func NewNetwork(cfg NetworkConfig) *Network { return node.New(node.Config(cfg)) }
 
-// Option configures NewNetwork. Options are applied in order; a
-// NetworkConfig struct literal is itself an Option.
-type Option interface{ apply(s *netSetup) }
-
-// netSetup accumulates NewNetwork options before construction.
-type netSetup struct {
-	cfg    node.Config
-	faults fault.Plan
-}
-
-// optionFunc adapts a function to the Option interface.
-type optionFunc func(*netSetup)
-
-func (f optionFunc) apply(s *netSetup) { f(s) }
-
-// WithN sets the node count (ignored when positions are set).
-func WithN(n int) Option { return optionFunc(func(s *netSetup) { s.cfg.N = n }) }
-
-// WithSeed sets the seed driving every random stream in the network.
-func WithSeed(seed int64) Option { return optionFunc(func(s *netSetup) { s.cfg.Seed = seed }) }
-
-// WithRect sets the terrain.
-func WithRect(r Rect) Option { return optionFunc(func(s *netSetup) { s.cfg.Rect = r }) }
-
-// WithRange sets the calibrated transmission range in meters.
-func WithRange(m float64) Option { return optionFunc(func(s *netSetup) { s.cfg.Range = m }) }
-
-// WithPositions places nodes explicitly instead of uniformly at random.
-func WithPositions(pts []Point) Option {
-	return optionFunc(func(s *netSetup) { s.cfg.Positions = pts })
-}
-
-// WithModel sets the propagation model (default free space).
-func WithModel(m PropagationModel) Option {
-	return optionFunc(func(s *netSetup) { s.cfg.Model = m })
-}
-
-// WithEnsureConnected regenerates random placements until the
-// unit-disk graph is connected.
-func WithEnsureConnected() Option {
-	return optionFunc(func(s *netSetup) { s.cfg.EnsureConnected = true })
-}
-
-// WithFaults installs the fault plan against the network after
-// construction. An empty plan is inert. For access to the injector
-// handle (crash processes, for instance), build the network first and
-// call InstallFaults directly.
-func WithFaults(plan FaultPlan) Option {
-	return optionFunc(func(s *netSetup) { s.faults = plan })
-}
-
-// NewNetwork builds a network from the options. Both call forms work:
-// a single NetworkConfig struct literal, or field options like WithN.
-// It panics on nonsensical configuration; TryNewNetwork reports the
-// same conditions as error values.
-func NewNetwork(opts ...Option) *Network {
-	var s netSetup
-	for _, o := range opts {
-		o.apply(&s)
-	}
-	nw := node.New(s.cfg)
-	if len(s.faults) > 0 {
-		fault.Install(nw, s.faults)
-	}
-	return nw
-}
-
-// TryNewNetwork builds a network from the options, returning an error
-// instead of panicking when construction cannot succeed: non-positive
-// N, no connected placement found under WithEnsureConnected, a tiled
-// configuration combined with fading, or an invalid fault plan. The
-// success path is bitwise identical to NewNetwork's, so generated
-// scenarios (the fuzzer's) and hand-written experiments share one
-// construction semantics.
-func TryNewNetwork(opts ...Option) (*Network, error) {
-	var s netSetup
-	for _, o := range opts {
-		o.apply(&s)
-	}
-	nw, err := node.TryNew(s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.faults) > 0 {
-		if _, err := fault.TryInstall(nw, s.faults); err != nil {
-			return nil, err
-		}
-	}
-	return nw, nil
-}
+// TryNewNetwork builds a network from cfg, returning an error instead
+// of panicking when construction cannot succeed: non-positive N, no
+// connected placement found under EnsureConnected, or a tiled
+// configuration combined with fading. The success path is bitwise
+// identical to NewNetwork's.
+func TryNewNetwork(cfg NetworkConfig) (*Network, error) { return node.TryNew(node.Config(cfg)) }
 
 // NewFailureProcess builds a duty-cycle failure process for n.
 var NewFailureProcess = node.NewFailureProcess
@@ -259,7 +164,8 @@ var Degrade = fault.Degrade
 var Jam = fault.Jam
 
 // InstallFaults wires a fault plan into a built network and returns
-// the injector handle. WithFaults is the option-form equivalent.
+// the injector handle. An empty plan is inert; an invalid one panics,
+// so plans of unknown provenance should pass FaultPlan.Validate first.
 var InstallFaults = fault.Install
 
 // Local leader election (§2).
