@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"routeless/internal/metrics"
@@ -48,18 +46,5 @@ func TestChurnJournalWorkerCountInvariant(t *testing.T) {
 }
 
 func TestChurnJournalMatchesGolden(t *testing.T) {
-	got := runTinyChurnJournal(t, 0)
-	golden := filepath.Join("testdata", "churn_tiny.journal.jsonl")
-	if *updateGolden {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("churn journal drifted from golden (rerun with -update-golden if intentional)")
-	}
+	checkGolden(t, "churn_tiny.journal.jsonl", runTinyChurnJournal(t, 0))
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"routeless/internal/metrics"
@@ -41,25 +39,6 @@ func runTinyFig34Journal(t *testing.T, workers, tiles int) []byte {
 		t.Fatalf("journal write failed: %v", err)
 	}
 	return buf.Bytes()
-}
-
-// checkGolden compares got against testdata/name, rewriting it first
-// under -update-golden.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s drifted from golden (rerun with -update-golden if intentional):\ngot:\n%s\nwant:\n%s", name, got, want)
-	}
 }
 
 func TestFig34JournalMatchesGolden(t *testing.T) {

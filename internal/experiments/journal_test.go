@@ -12,6 +12,25 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
+// checkGolden compares got against testdata/name, rewriting it first
+// under -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s drifted from golden (rerun with -update-golden if intentional):\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
 // The journal is the artifact other people diff: same config + seed
 // must reproduce it byte for byte, on any machine, at any worker count.
 // The committed golden pins that promise across commits — CI runs this

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"routeless/internal/metrics"
@@ -81,18 +79,5 @@ func TestMegaJournalLinkCacheCapInvariant(t *testing.T) {
 }
 
 func TestMegaJournalMatchesGolden(t *testing.T) {
-	got := runTinyMegaJournal(t, nil)
-	golden := filepath.Join("testdata", "fig_mega_tiny.journal.jsonl")
-	if *updateGolden {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fig_mega journal drifted from golden (rerun with -update-golden if intentional):\ngot:  %s\nwant: %s", got, want)
-	}
+	checkGolden(t, "fig_mega_tiny.journal.jsonl", runTinyMegaJournal(t, nil))
 }
