@@ -165,10 +165,7 @@ func (inj *Injector) checkDowntime() error {
 // from here (the faultrand lint rule forbids raw *rand.Rand plumbing
 // in this package).
 func (inj *Injector) stream(idx int) *rand.Rand {
-	if t := inj.nw.RNG; t != nil {
-		return t.New(inj.nw.Seed, rng.StreamFault, uint64(idx))
-	}
-	return rng.New(inj.nw.Seed, rng.StreamFault, uint64(idx))
+	return inj.nw.RNG.New(inj.nw.Seed, rng.StreamFault, uint64(idx))
 }
 
 // selectNodes resolves a spec's node selection in ascending id order —

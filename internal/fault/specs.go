@@ -73,11 +73,7 @@ func (s CrashSpec) validate() error {
 
 func (s CrashSpec) install(inj *Injector, idx int) {
 	for _, n := range selectNodes(inj.nw, s.Nodes, s.Exclude) {
-		fr := rng.ForNode(inj.nw.Seed, rng.StreamFailure, int(n.ID))
-		if t := inj.nw.RNG; t != nil {
-			fr = t.ForNode(inj.nw.Seed, rng.StreamFailure, int(n.ID))
-		}
-		fp := node.NewFailureProcess(n, fr)
+		fp := node.NewFailureProcess(n, inj.nw.RNG.ForNode(inj.nw.Seed, rng.StreamFailure, int(n.ID)))
 		fp.OffFraction = s.OffFraction
 		if s.Cycle != 0 {
 			fp.Cycle = s.Cycle

@@ -29,7 +29,14 @@ func (n *netRecorder) OnUnicastFailed(p *packet.Packet) { n.failed = append(n.fa
 // rig builds a kernel, channel, and one MAC+recorder per position.
 func rig(t *testing.T, positions []geo.Point) (*sim.Kernel, *phy.Channel, []*MAC, []*netRecorder) {
 	t.Helper()
-	k := sim.NewKernel(3)
+	return seededRig(t, 3, positions)
+}
+
+// seededRig is rig with the kernel and MAC backoff streams derived from
+// seed.
+func seededRig(t *testing.T, seed int64, positions []geo.Point) (*sim.Kernel, *phy.Channel, []*MAC, []*netRecorder) {
+	t.Helper()
+	k := sim.NewKernel(seed)
 	model := propagation.NewFreeSpace()
 	params := phy.DefaultParams(model, 250)
 	ch := phy.NewChannel(k, geo.NewRect(3000, 3000), positions, params, phy.ChannelConfig{Model: model})
@@ -37,7 +44,7 @@ func rig(t *testing.T, positions []geo.Point) (*sim.Kernel, *phy.Channel, []*MAC
 	recs := make([]*netRecorder, len(positions))
 	cfg := DefaultConfig()
 	for i := range positions {
-		macs[i] = New(k, ch.Radio(i), &cfg, rng.ForNode(3, rng.StreamMAC, i))
+		macs[i] = New(k, ch.Radio(i), &cfg, rng.ForNode(seed, rng.StreamMAC, i))
 		recs[i] = &netRecorder{}
 		macs[i].SetHandler(recs[i])
 	}
@@ -217,23 +224,75 @@ func TestCarrierSenseDefers(t *testing.T) {
 	}
 }
 
-func TestManyContendersAllDeliver(t *testing.T) {
-	// Five co-located senders, one receiver: random backoff should let
-	// all five frames through eventually.
-	k, _, macs, recs := rig(t, pts(0, 0, 50, 0, 0, 50, 50, 50, 25, 25, 100, 100))
-	for i := 0; i < 5; i++ {
-		macs[i].Enqueue(&packet.Packet{
-			Kind: packet.KindData, To: packet.Broadcast,
-			Origin: packet.NodeID(i), Seq: 1, Size: packet.SizeData,
-		}, 0)
-	}
-	k.Run()
-	from := map[packet.NodeID]bool{}
-	for _, p := range recs[5].delivered {
-		from[p.Origin] = true
-	}
-	if len(from) < 4 {
-		t.Fatalf("receiver heard only %d/5 senders", len(from))
+// sentAt records when each frame left the air.
+type sentAt struct {
+	*netRecorder
+	k    *sim.Kernel
+	ends []sim.Time
+}
+
+func (s *sentAt) OnSent(p *packet.Packet) {
+	s.netRecorder.OnSent(p)
+	s.ends = append(s.ends, s.k.Now())
+}
+
+// TestManyContendersAccounted: five co-located senders contend for one
+// receiver. How many frames get through depends on whether two senders
+// draw the same backoff slot — a per-seed event — so the check is
+// seed-independent accounting over a seed range instead: every sender's
+// broadcast leaves the air exactly once, and every frame the receiver
+// did not deliver overlapped another sender's frame in the air and left
+// a collision on the receiver's counters.
+func TestManyContendersAccounted(t *testing.T) {
+	const senders = 5
+	pos := pts(0, 0, 50, 0, 0, 50, 50, 50, 25, 25, 100, 100)
+	for seed := int64(1); seed <= 200; seed++ {
+		k, ch, macs, recs := seededRig(t, seed, pos)
+		sent := make([]*sentAt, senders)
+		for i := 0; i < senders; i++ {
+			sent[i] = &sentAt{netRecorder: recs[i], k: k}
+			macs[i].SetHandler(sent[i])
+			macs[i].Enqueue(&packet.Packet{
+				Kind: packet.KindData, To: packet.Broadcast,
+				Origin: packet.NodeID(i), Seq: 1, Size: packet.SizeData,
+			}, 0)
+		}
+		k.Run()
+		air := ch.Radio(0).Params().AirTime(packet.SizeData)
+		heard := map[packet.NodeID]bool{}
+		for _, p := range recs[senders].delivered {
+			if heard[p.Origin] {
+				t.Fatalf("seed %d: frame from %d delivered twice", seed, p.Origin)
+			}
+			heard[p.Origin] = true
+		}
+		for i := 0; i < senders; i++ {
+			if len(sent[i].ends) != 1 {
+				t.Fatalf("seed %d: sender %d sent %d frames, want 1", seed, i, len(sent[i].ends))
+			}
+		}
+		for i := 0; i < senders; i++ {
+			if heard[packet.NodeID(i)] {
+				continue
+			}
+			overlapped := false
+			for j := 0; j < senders; j++ {
+				d := sent[i].ends[0] - sent[j].ends[0]
+				if j != i && d < air && -d < air {
+					overlapped = true
+				}
+			}
+			if !overlapped {
+				t.Fatalf("seed %d: frame from %d lost without overlapping another frame", seed, i)
+			}
+		}
+		st := ch.Radio(senders).Stats()
+		if st.RxFrames != uint64(len(heard)) {
+			t.Fatalf("seed %d: receiver counted %d frames, delivered %d", seed, st.RxFrames, len(heard))
+		}
+		if len(heard) < senders && st.Collisions+st.MissedWeak == 0 {
+			t.Fatalf("seed %d: %d frames lost with no collision counted", seed, senders-len(heard))
+		}
 	}
 }
 

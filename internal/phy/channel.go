@@ -431,12 +431,13 @@ func (c *Channel) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // RegisterRadioMetrics registers the network-wide phy.* series as
-// aggregate func-counters summing over every radio, in the exact order
-// Radio.RegisterMetrics registers them per radio. The registry sums
-// same-name sources at snapshot time, so N per-radio Observe
-// registrations and one aggregate Func per series expose bit-identical
-// snapshots — but the aggregate costs O(1) registry entries instead of
-// O(N), which is what makes a million-radio registry affordable.
+// aggregate func-counters summing over every radio: one registry entry
+// per series instead of one per radio, which is what makes a
+// million-radio registry affordable. The series register in this fixed
+// order — tx_frames, rx_frames, collisions, missed_weak, dropped_off,
+// aborted_by_tx, aborted_by_off, tx_aborted, truncated, signal_starts,
+// signal_ends, flushed_by_off, then in_air (signals currently arriving
+// at some radio) — and golden journals pin that order.
 func (c *Channel) RegisterRadioMetrics(reg *metrics.Registry) {
 	sum := func(pick func(*radioCounters) *metrics.Counter32) func() uint64 {
 		return func() uint64 {

@@ -1,29 +1,31 @@
 package rng
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestTrackedStreamIdentity: a stream created through a Tracker must
 // produce exactly the draws of its untracked twin — the cursor counts,
 // it never perturbs. This is the property the snapshot oracle's RNG
-// digest rests on.
+// digest rests on. A nil tracker hands out the untracked streams
+// themselves.
 func TestTrackedStreamIdentity(t *testing.T) {
+	same := func(name string, a, b *rand.Rand) {
+		t.Helper()
+		for i := 0; i < 1000; i++ {
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("%s: draw %d diverged: %#x vs %#x", name, i, x, y)
+			}
+		}
+	}
 	tr := NewTracker()
-	tracked := tr.New(42, StreamTraffic, 3)
-	plain := New(42, StreamTraffic, 3)
-	for i := 0; i < 1000; i++ {
-		if a, b := tracked.Uint64(), plain.Uint64(); a != b {
-			t.Fatalf("draw %d diverged: tracked %#x, plain %#x", i, a, b)
-		}
-	}
+	same("tracked New", tr.New(42, StreamTraffic, 3), New(42, StreamTraffic, 3))
+	same("tracked ForNode", tr.ForNode(42, StreamMAC, 7), ForNode(42, StreamMAC, 7))
 
-	trc := NewTracker()
-	trackedC := trc.ForNodeCompact(42, StreamMAC, 7)
-	plainC := ForNodeCompact(42, StreamMAC, 7)
-	for i := 0; i < 1000; i++ {
-		if a, b := trackedC.Uint64(), plainC.Uint64(); a != b {
-			t.Fatalf("compact draw %d diverged: %#x vs %#x", i, a, b)
-		}
-	}
+	var none *Tracker
+	same("nil-tracker New", none.New(42, StreamTraffic, 3), New(42, StreamTraffic, 3))
+	same("nil-tracker ForNode", none.ForNode(42, StreamMAC, 7), ForNode(42, StreamMAC, 7))
 }
 
 // TestTrackerVisit: Len and Visit expose streams in creation order
