@@ -86,7 +86,7 @@ func TestRoutingAblationsPinned(t *testing.T) {
 func TestFig1EventCountPinned(t *testing.T) {
 	ResetEventCount()
 	RunFig1(tinyFig1())
-	if got, want := EventCount(), uint64(96158); got != want {
+	if got, want := EventCount(), uint64(96153); got != want {
 		t.Fatalf("tiny fig1 executed %d events, want %d", got, want)
 	}
 }

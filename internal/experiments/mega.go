@@ -173,7 +173,6 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 		Tiles:        cfg.Tiles,
 		TileWorkers:  cfg.TileWorkers,
 		LinkCacheCap: cfg.LinkCacheCap,
-		CompactRNG:   true,
 	})
 	minDBm, maxDBm := scenario.SSAFSpan(cfg.Range)
 	fcfg := flood.SSAFConfig(cfg.Lambda, minDBm, maxDBm)

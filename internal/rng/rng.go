@@ -39,14 +39,13 @@ func New(seed int64, labels ...uint64) *rand.Rand {
 	return rand.New(rand.NewSource(Derive(seed, labels...)))
 }
 
-// compactSource is an 8-byte SplitMix64-backed rand.Source64. The
-// stdlib rngSource behind rand.NewSource carries a ~4.9 KB lag table —
-// two of those per node (network layer + MAC) dominate per-node memory
-// at mega scale. SplitMix64 passes BigCrush and its full 2^64 period is
-// orders of magnitude beyond any simulation's draw count; the draws
-// differ from the stdlib source, so compact streams are opt-in
-// (node.Config.CompactRNG) and never used where golden journals pin the
-// stdlib sequence.
+// compactSource is the 8-byte SplitMix64 rand.Source64 behind every
+// per-node stream. The stdlib rngSource behind rand.NewSource carries a
+// ~4.9 KB lag table; with two or three per-node streams (network layer,
+// MAC, failure process) that table would dominate per-node memory.
+// SplitMix64 passes BigCrush, and its 2^64 period is orders of
+// magnitude beyond any simulation's draw count. The O(1) global streams
+// made by New keep the stdlib source.
 type compactSource struct{ state uint64 }
 
 func (s *compactSource) Uint64() uint64 {
@@ -58,19 +57,6 @@ func (s *compactSource) Uint64() uint64 {
 func (s *compactSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *compactSource) Seed(seed int64) { s.state = uint64(seed) }
-
-// NewCompact returns a rand.Rand over a compactSource seeded from the
-// parent seed and labels via Derive — the O(bytes) alternative to New
-// for runs with very many per-node streams.
-func NewCompact(seed int64, labels ...uint64) *rand.Rand {
-	return rand.New(&compactSource{state: uint64(Derive(seed, labels...))})
-}
-
-// ForNodeCompact is ForNode over a compact source: same derivation
-// labels, 8-byte state instead of the stdlib lag table.
-func ForNodeCompact(seed int64, layer uint64, nodeID int) *rand.Rand {
-	return NewCompact(seed, layer, uint64(nodeID)+0x1000)
-}
 
 // Stream labels used across the repository, kept in one place so
 // different subsystems never collide.
@@ -86,9 +72,16 @@ const (
 	StreamFuzz                       // scenario-fuzzer draws (generator, placements, mobility)
 )
 
-// ForNode derives a per-node, per-layer stream: same master seed and
-// node id always yield the same stream regardless of how many nodes the
-// simulation has or in which order they were built.
+// ForNode derives a per-node, per-layer stream over a compactSource:
+// same master seed and node id always yield the same stream regardless
+// of how many nodes the simulation has or in which order they were
+// built.
 func ForNode(seed int64, layer uint64, nodeID int) *rand.Rand {
-	return New(seed, layer, uint64(nodeID)+0x1000)
+	return rand.New(nodeSource(seed, layer, nodeID))
+}
+
+// nodeSource seeds the compactSource behind ForNode from the labels
+// (layer, nodeID+0x1000).
+func nodeSource(seed int64, layer uint64, nodeID int) *compactSource {
+	return &compactSource{state: uint64(Derive(seed, layer, uint64(nodeID)+0x1000))}
 }
