@@ -19,7 +19,8 @@ type AODVConfig struct {
 	HelloLoss int
 	// RREQBackoff is the flood rebroadcast backoff; default 10 ms.
 	RREQBackoff sim.Time
-	// DiscoveryTimeout is the RREP wait before re-flooding; default 2 s.
+	// DiscoveryTimeout is the RREP wait before re-flooding, plus a
+	// uniform jitter of up to RREQBackoff; default 2 s.
 	DiscoveryTimeout sim.Time
 	// MaxDiscoveryRetries bounds re-floods; default 3.
 	MaxDiscoveryRetries int
@@ -303,7 +304,7 @@ func (a *AODV) routeOrDiscover(target packet.NodeID, size int, created sim.Time)
 	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
 	if started {
 		a.floodRREQRing(target, a.ringTTL(0))
-		d.timer.Reset(a.cfg.DiscoveryTimeout)
+		d.arm(a.cfg.DiscoveryTimeout, a.cfg.RREQBackoff, a.n.Rng)
 	}
 	d.queue = append(d.queue, pendingData{size: size, created: created})
 }
@@ -374,7 +375,7 @@ func (a *AODV) discoveryTimeout(target packet.NodeID) {
 	}
 	a.stats.rediscoveries.Inc()
 	a.floodRREQRing(target, a.ringTTL(d.retries))
-	d.timer.Reset(a.cfg.DiscoveryTimeout)
+	d.arm(a.cfg.DiscoveryTimeout, a.cfg.RREQBackoff, a.n.Rng)
 }
 
 func (a *AODV) sendHello() {
@@ -647,6 +648,6 @@ func (a *AODV) salvageData(pkt *packet.Packet) {
 	d, started := a.discovering.ensure(pkt.Target, a.n.Kernel, func() { a.discoveryTimeout(pkt.Target) })
 	if started {
 		a.floodRREQRing(pkt.Target, a.ringTTL(0))
-		d.timer.Reset(a.cfg.DiscoveryTimeout)
+		d.arm(a.cfg.DiscoveryTimeout, a.cfg.RREQBackoff, a.n.Rng)
 	}
 }

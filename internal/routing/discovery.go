@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math/rand"
+
 	"routeless/internal/packet"
 	"routeless/internal/sim"
 )
@@ -41,6 +43,16 @@ func (s discoverySet) ensure(target packet.NodeID, k *sim.Kernel, onTimeout func
 	d = &discovery{timer: sim.NewTimer(k, onTimeout)}
 	s[target] = d
 	return d, true
+}
+
+// arm (re)starts d's timer: timeout plus a uniform jitter in
+// [0, jitter) drawn from r. Two sources that start discoveries at the
+// same instant are often hidden terminals to each other, so their floods
+// collide at the relays between them; with a fixed timeout they would
+// re-flood in lockstep and collide again on every retry. Each protocol
+// passes its discovery flood's backoff window as the jitter.
+func (d *discovery) arm(timeout, jitter sim.Time, r *rand.Rand) {
+	d.timer.Reset(timeout + sim.Time(r.Float64())*jitter)
 }
 
 // pending reports whether a discovery for target is in progress.

@@ -15,7 +15,8 @@ type GradientConfig struct {
 	Backoff sim.Time
 	// DiscoveryBackoff is the gradient-setup flood backoff; default 10 ms.
 	DiscoveryBackoff sim.Time
-	// DiscoveryTimeout and MaxDiscoveryRetries mirror Routeless Routing.
+	// DiscoveryTimeout and MaxDiscoveryRetries mirror Routeless Routing
+	// (the retry jitter is up to DiscoveryBackoff).
 	DiscoveryTimeout    sim.Time
 	MaxDiscoveryRetries int
 	// TTL bounds packet travel; default 32.
@@ -194,7 +195,7 @@ func (g *Gradient) Send(target packet.NodeID, size int) {
 	d, started := g.discovering.ensure(target, g.n.Kernel, func() { g.discoveryTimeout(target) })
 	if started {
 		g.floodDiscovery(target)
-		d.timer.Reset(g.cfg.DiscoveryTimeout)
+		d.arm(g.cfg.DiscoveryTimeout, g.cfg.DiscoveryBackoff, g.n.Rng)
 	}
 	d.queue = append(d.queue, pendingData{size: size, created: now})
 }
@@ -249,7 +250,7 @@ func (g *Gradient) discoveryTimeout(target packet.NodeID) {
 		g.repairStart[target] = g.n.Kernel.Now()
 	}
 	g.floodDiscovery(target)
-	d.timer.Reset(g.cfg.DiscoveryTimeout)
+	d.arm(g.cfg.DiscoveryTimeout, g.cfg.DiscoveryBackoff, g.n.Rng)
 }
 
 // OnDeliver implements node.Protocol.

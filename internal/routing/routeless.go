@@ -22,7 +22,8 @@ type RoutelessConfig struct {
 	// discovery packets; default 10 ms.
 	DiscoveryBackoff sim.Time
 	// DiscoveryTimeout is how long a source waits for a path reply
-	// before re-flooding; default 2 s.
+	// before re-flooding, plus a uniform jitter of up to
+	// DiscoveryBackoff; default 2 s.
 	DiscoveryTimeout sim.Time
 	// MaxDiscoveryRetries bounds re-floods; default 3.
 	MaxDiscoveryRetries int
@@ -379,7 +380,7 @@ func (r *Routeless) Send(target packet.NodeID, size int) {
 	d, started := r.discovering.ensure(target, r.n.Kernel, func() { r.discoveryTimeout(target) })
 	if started {
 		r.floodDiscovery(target)
-		d.timer.Reset(r.cfg.DiscoveryTimeout)
+		d.arm(r.cfg.DiscoveryTimeout, r.cfg.DiscoveryBackoff, r.n.Rng)
 	}
 	d.queue = append(d.queue, pendingData{size: size, created: now})
 }
@@ -488,7 +489,7 @@ func (r *Routeless) discoveryTimeout(target packet.NodeID) {
 		return
 	}
 	r.floodDiscovery(target)
-	d.timer.Reset(r.cfg.DiscoveryTimeout)
+	d.arm(r.cfg.DiscoveryTimeout, r.cfg.DiscoveryBackoff, r.n.Rng)
 }
 
 // OnDeliver implements node.Protocol.

@@ -107,16 +107,31 @@ func TestRRSecondPacketSkipsDiscovery(t *testing.T) {
 	}
 }
 
+// TestRRBidirectionalTraffic: both ends of a 4-node line send at the
+// same instant. The two sources are hidden terminals to each other, so
+// their discovery floods collide at the middle relays whenever they go
+// out together; discovery retries must be jittered, or the sources
+// re-flood in lockstep and collide on every retry. Whether the first
+// floods collide is a per-seed event, so the check runs over a seed
+// range: with lockstep retries more than half of these seeds deliver
+// nothing; with jittered retries only rare data-path losses remain.
 func TestRRBidirectionalTraffic(t *testing.T) {
-	nw, rrs := buildRR(t, RoutelessConfig{}, 5, line(4, 200))
-	got := map[packet.NodeID]int{}
-	nw.Nodes[0].OnAppReceive = func(p *packet.Packet) { got[0]++ }
-	nw.Nodes[3].OnAppReceive = func(p *packet.Packet) { got[3]++ }
-	rrs[0].Send(3, 0)
-	rrs[3].Send(0, 0)
-	nw.Run(10)
-	if got[3] != 1 || got[0] != 1 {
-		t.Fatalf("deliveries %v, want one each way", got)
+	const seeds, maxFailed = 100, 10
+	var failed []int64
+	for seed := int64(1); seed <= seeds; seed++ {
+		nw, rrs := buildRR(t, RoutelessConfig{}, seed, line(4, 200))
+		got := map[packet.NodeID]int{}
+		nw.Nodes[0].OnAppReceive = func(p *packet.Packet) { got[0]++ }
+		nw.Nodes[3].OnAppReceive = func(p *packet.Packet) { got[3]++ }
+		rrs[0].Send(3, 0)
+		rrs[3].Send(0, 0)
+		nw.Run(10)
+		if got[3] != 1 || got[0] != 1 {
+			failed = append(failed, seed)
+		}
+	}
+	if len(failed) > maxFailed {
+		t.Fatalf("%d of %d seeds missed a delivery (at most %d allowed): %v", len(failed), seeds, maxFailed, failed)
 	}
 }
 
