@@ -37,7 +37,6 @@ type MegaConfig struct {
 	Seeds        []int64  // replications; default {1}
 	Workers      int      `json:"-"` // sweep parallelism; default GOMAXPROCS
 	Tiles        int      `json:"-"` // PDES tiles per run; default node.AutoTiles
-	TileWorkers  int      `json:"-"` // PDES worker bound; default GOMAXPROCS
 	LinkCacheCap int      `json:"-"` // per-tile link-cache residency bound; default 4096
 	Lambda       sim.Time // SSAF λ; default 10 ms
 	DataSize     int      // flooded payload bytes; default 64
@@ -171,7 +170,6 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 		// ratio deterministically.
 		Runtime:      ctx.Runtime(),
 		Tiles:        cfg.Tiles,
-		TileWorkers:  cfg.TileWorkers,
 		LinkCacheCap: cfg.LinkCacheCap,
 	})
 	minDBm, maxDBm := scenario.SSAFSpan(cfg.Range)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"routeless/internal/metrics"
@@ -57,11 +58,15 @@ func TestMegaJournalTileCountInvariant(t *testing.T) {
 	}
 }
 
-// TestMegaJournalWorkerCountInvariant covers both worker knobs: the
-// sweep's cross-run parallelism and the PDES per-run tile worker pool.
+// TestMegaJournalWorkerCountInvariant covers both pool sizes: the
+// sweep's cross-run parallelism (Workers) and the PDES per-run tile
+// pool, which is sized from GOMAXPROCS.
 func TestMegaJournalWorkerCountInvariant(t *testing.T) {
-	j1 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers, c.TileWorkers = 1, 1 })
-	j8 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers, c.TileWorkers = 8, 8 })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	j1 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers = 1 })
+	runtime.GOMAXPROCS(8)
+	j8 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers = 8 })
 	if !bytes.Equal(j1, j8) {
 		t.Fatalf("worker counts changed journal bytes:\nworkers=1: %s\nworkers=8: %s", j1, j8)
 	}

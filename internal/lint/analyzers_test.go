@@ -369,8 +369,13 @@ func bad() {
 			want: []string{`import "sync"`, "go statement"},
 		},
 		{
-			name: "clean: internal/sweep worker pool owns concurrency", analyzer: Goroutine,
+			name: "clean: internal/workers pool owns concurrency", analyzer: Goroutine,
+			path: "routeless/internal/workers", filename: "workers.go", src: concSrc,
+		},
+		{
+			name: "catches concurrency in internal/sweep, which submits to the pool", analyzer: Goroutine,
 			path: "routeless/internal/sweep", filename: "sweep.go", src: concSrc,
+			want: []string{`import "sync"`, "go statement"},
 		},
 		{
 			name: "catches concurrency in a non-engine package named like a pool", analyzer: Goroutine,
@@ -378,8 +383,9 @@ func bad() {
 			want: []string{`import "sync"`, "go statement"},
 		},
 		{
-			name: "clean: internal/pdes tile engine owns concurrency", analyzer: Goroutine,
+			name: "catches concurrency in internal/pdes, which submits to the pool", analyzer: Goroutine,
 			path: "routeless/internal/pdes", filename: "pdes.go", src: concSrc,
+			want: []string{`import "sync"`, "go statement"},
 		},
 		{
 			name: "clean: cmd may use goroutines", analyzer: Goroutine,
@@ -676,6 +682,46 @@ func good(tiles []*sim.Kernel, g *sim.Kernel) {
 		Tiles: tiles, Global: g, MinArm: 1e-6, CrossDelay: []sim.Time{1e-6},
 		Exchange: func() int { moved++; return moved },
 	}, 1)
+}`,
+		},
+		{
+			name: "catches package-level var in a workers.Pool.Go job", analyzer: SharedCap,
+			path: "routeless/internal/fix", filename: "fix.go",
+			src: `package fix
+import "routeless/internal/workers"
+var done int
+func bad() {
+	p := workers.New(4)
+	p.Go(func(w int) { done++ })
+	p.Close()
+}`,
+			want: []string{"package-level var done"},
+		},
+		{
+			name: "catches captured runtime in a sweep.Pool.Submit job", analyzer: SharedCap,
+			path: "routeless/internal/fix", filename: "fix.go",
+			src: `package fix
+import (
+	"routeless/internal/node"
+	"routeless/internal/sweep"
+)
+func bad(p *sweep.Pool) {
+	rt := node.NewRuntime()
+	p.Submit(func(ctx *sweep.Context) { _ = rt })
+}`,
+			want: []string{"captures *node.Runtime rt"},
+		},
+		{
+			name: "clean: workers.Pool.Go job over locals and its worker index", analyzer: SharedCap,
+			path: "routeless/internal/fix", filename: "fix.go",
+			src: `package fix
+import "routeless/internal/workers"
+func good(out []int) {
+	p := workers.New(0)
+	for i := range out {
+		p.Go(func(w int) { out[i] = w })
+	}
+	p.Close()
 }`,
 		},
 		{

@@ -181,12 +181,14 @@ func TestFlowmodFindings(t *testing.T) {
 	}{
 		{"globalrand", "constructed from a fixed seed"},                     // fault.stream's raw ctor
 		{"faultrand", "fixed-seed stream"},                                  // fault.Jitter's laundered draw
+		{"goroutine", `import "sync"`},                                      // pdes.Run, no longer exempt
+		{"goroutine", "go statement"},                                       // pdes.Run's own tile goroutines
 		{"maporder", "map-iteration order by proto.mapKeys"},                // FlushBad's slice range
 		{"maporder", "calls relay, which reaches"},                          // JournalBad, two hops to the journal
 		{"globalrand", "supplies a fixed seed"},                             // BadJitter through mkStream
 		{"sharedstate", "package-level var flowmod/internal/proto.hits"},    // OnReceive write
 		{"sharedstate", "package-level var flowmod/internal/proto.pending"}, // scheduled-closure write
-		{"goroutine", "go statement"},                                       // SpawnBad, outside the exempt engines
+		{"goroutine", "go statement"},                                       // SpawnBad, outside the worker pool
 	}
 
 	if len(res.Diags) != len(want) {

@@ -7,9 +7,10 @@ import (
 )
 
 // SharedCap guards the worker-pool ownership contract: a closure
-// handed to sweep.Run or pdes.Run (directly or through a config field
-// such as pdes.Config.Exchange) executes inside a concurrent engine,
-// so it must not capture shared mutable state.
+// handed to sweep.Run, pdes.Run (directly or through a config field
+// such as pdes.Config.Exchange), sweep's Pool.Submit or the worker
+// pool's own Pool.Go executes on a pool worker, so it must not capture
+// shared mutable state.
 // Two capture classes are flagged inside such closures:
 //
 //   - package-level mutable variables (any package's), which every
@@ -30,15 +31,17 @@ import (
 // capture counters to assert scheduling properties.
 var SharedCap = &Analyzer{
 	Name: "sharedcap",
-	Doc:  "forbid closures passed to sweep.Run/pdes.Run from capturing shared mutable state",
+	Doc:  "forbid closures passed to sweep.Run/pdes.Run/Pool.Submit/Pool.Go from capturing shared mutable state",
 	Run:  runSharedCap,
 }
 
-// sharedCapEntryPoints maps importPath → function names whose func-lit
-// arguments run concurrently on a worker pool.
+// sharedCapEntryPoints maps importPath → function names (methods as
+// Type.Method) whose func-lit arguments run concurrently on a worker
+// pool.
 var sharedCapEntryPoints = map[string]map[string]bool{
-	"routeless/internal/sweep": {"Run": true},
-	"routeless/internal/pdes":  {"Run": true},
+	"routeless/internal/sweep":   {"Run": true, "Pool.Submit": true},
+	"routeless/internal/pdes":    {"Run": true},
+	"routeless/internal/workers": {"Pool.Go": true},
 }
 
 // sharedCapPoolTypes are the single-owner types that must never cross
@@ -86,8 +89,8 @@ func runSharedCap(p *Pass) {
 }
 
 // isWorkerEntryPoint reports whether fun names one of the worker-pool
-// entry points, unwrapping explicit generic instantiation
-// (sweep.Run[T](...)).
+// entry points — a package function or a method call on a pool value —
+// unwrapping explicit generic instantiation (sweep.Run[T](...)).
 func isWorkerEntryPoint(p *Pass, fun ast.Expr) bool {
 	switch e := fun.(type) {
 	case *ast.IndexExpr:
@@ -95,8 +98,12 @@ func isWorkerEntryPoint(p *Pass, fun ast.Expr) bool {
 	case *ast.IndexListExpr:
 		return isWorkerEntryPoint(p, e.X)
 	case *ast.SelectorExpr:
-		names, ok := sharedCapEntryPoints[p.PkgNameOf(e)]
-		return ok && names[e.Sel.Name]
+		if path := p.PkgNameOf(e); path != "" {
+			return sharedCapEntryPoints[path][e.Sel.Name]
+		}
+		// A method call on a pool value: key by the receiver's type.
+		recv := namedObj(p.TypeOf(e.X))
+		return recv != nil && sharedCapEntryPoints[recv.Pkg().Path()][recv.Name()+"."+e.Sel.Name]
 	}
 	return false
 }
@@ -140,33 +147,40 @@ func isPackageLevel(v *types.Var) bool {
 // isSyncValue reports whether t is (a pointer to) a type from sync or
 // sync/atomic — values designed for concurrent sharing.
 func isSyncValue(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	obj := namedObj(t)
+	if obj == nil {
 		return false
 	}
-	path := named.Obj().Pkg().Path()
+	path := obj.Pkg().Path()
 	return path == "sync" || path == "sync/atomic"
 }
 
 // isPoolType reports whether t is (a pointer to) one of the per-worker
 // pool types.
 func isPoolType(t types.Type) bool {
+	obj := namedObj(t)
+	if obj == nil {
+		return false
+	}
+	for suffix, names := range sharedCapPoolTypes {
+		if strings.HasSuffix(obj.Pkg().Path(), suffix) && names[obj.Name()] {
+			return true
+		}
+	}
+	return false
+}
+
+// namedObj returns the type name behind t or *t when it is a named
+// type declared in a package, else nil.
+func namedObj(t types.Type) *types.TypeName {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
-		return false
+		return nil
 	}
-	for suffix, names := range sharedCapPoolTypes {
-		if strings.HasSuffix(named.Obj().Pkg().Path(), suffix) && names[named.Obj().Name()] {
-			return true
-		}
-	}
-	return false
+	return named.Obj()
 }
 
 // typeString renders t compactly for diagnostics (*node.Runtime, not

@@ -1,15 +1,12 @@
-// Package pdes mirrors the real tile engine's shape: alongside
-// internal/sweep, it is the only internal package allowed to own
-// goroutines and sync primitives. The goroutine rule's worker-pool
-// exemption matches by path suffix, so this fixture pins that a `go`
-// statement and a sync import stay clean here while the identical
-// shape in proto.SpawnBad is flagged.
+// Package pdes is a tile engine that spawns its own goroutines instead
+// of submitting its windows to the worker pool. The goroutine rule no
+// longer exempts internal/pdes, so both the sync import and the `go`
+// statement are flagged.
 package pdes
 
 import "sync"
 
-// Run fans one barrier window out to n tile workers and waits for all
-// of them — the concurrency pattern the exemption exists for.
+// Run fans one barrier window out to n tile goroutines.
 func Run(n int) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -95,9 +95,9 @@ func (b *Beacon) OnDeliver(v float64) {
 
 func (b *Beacon) emit() {}
 
-// SpawnBad launches a goroutine outside the sanctioned engines; the
-// goroutine rule must flag it even though the identical shape in
-// internal/pdes is exempt.
+// SpawnBad launches a goroutine outside the worker pool; the goroutine
+// rule must flag it even though the identical shape in
+// internal/workers is exempt.
 func SpawnBad(done chan struct{}) {
 	go func() { close(done) }()
 }

@@ -49,16 +49,14 @@ type Config struct {
 	Runtime *Runtime
 	// Tiles, when above 1, partitions the arena into that many geo
 	// tiles, each with its own kernel advanced by a parallel PDES
-	// worker between epoch barriers (see internal/pdes). Results are
-	// identical to the sequential network; requires no fading and no
-	// mobility. 0 or 1 builds the classic sequential network. The
+	// worker between epoch barriers (see internal/pdes; the worker pool
+	// is sized from GOMAXPROCS, and no field here bounds it). Results
+	// are identical to the sequential network; requires no fading and
+	// no mobility. 0 or 1 builds the classic sequential network. The
 	// sentinel AutoTiles sizes the tiling from the arena instead: tile
 	// sides at least twice the channel's interference cutoff (the
 	// minimum sound lookahead geometry), as many tiles as fit.
 	Tiles int
-	// TileWorkers bounds the PDES worker pool on a tiled run; 0 means
-	// GOMAXPROCS. Results are identical for any value.
-	TileWorkers int
 	// LinkCacheCap, when positive, bounds how many per-node link caches
 	// each tile keeps live at once (FIFO eviction, bit-identical
 	// rebuilds). Zero keeps every cache — fine up to ~100k nodes;
@@ -148,8 +146,6 @@ type Network struct {
 
 	// TileKernels holds one kernel per PDES tile; nil when sequential.
 	TileKernels []*sim.Kernel
-	// tileWorkers bounds the PDES pool (0 = GOMAXPROCS).
-	tileWorkers int
 
 	// minArm and crossDelay parameterize the conservative PDES window
 	// (see internal/pdes): the MAC's minimum arming interval and, per
@@ -294,8 +290,8 @@ func TryNew(cfg Config) (*Network, error) {
 
 	nw := &Network{Kernel: kernel, Channel: ch, Rect: cfg.Rect, Seed: cfg.Seed,
 		RNG:         cfg.RNG,
-		TileKernels: tileKernels, tileWorkers: cfg.TileWorkers,
-		Metrics: metrics.NewRegistry()}
+		TileKernels: tileKernels,
+		Metrics:     metrics.NewRegistry()}
 	ch.RegisterMetrics(nw.Metrics)
 	nw.Nodes = make([]*Node, len(positions))
 	// One contiguous Node arena instead of N heap objects; Nodes keeps
@@ -466,7 +462,6 @@ func (nw *Network) Run(t sim.Time) {
 		MinArm:     nw.minArm,
 		CrossDelay: nw.crossDelay,
 		Exchange:   nw.Channel.ExchangeCross,
-		Workers:    nw.tileWorkers,
 	}, t)
 }
 

@@ -3,18 +3,18 @@
 // kernel.
 //
 // The arena is partitioned into geo tiles (geo.Tiling), each with its
-// own event kernel. A bounded pool of worker goroutines (Workers, not
-// one per tile) advances kernels in lockstep windows between epoch
-// barriers: the coordinator computes a barrier time B no tile can
-// causally affect another tile before, dispatches only the *active*
-// tiles — those with an event strictly before B — to the pool, then —
-// with all workers parked — drains the boundary-crossing deliveries the
-// window produced (Config.Exchange) and runs the global control-lane
-// kernel to B. Exchanged deliveries are applied in (source tile,
-// transmit order), so the schedule each kernel sees is independent of
-// how the workers interleaved, and a tiled run reproduces the
-// sequential journal byte for byte at any tile count and any worker
-// count.
+// own event kernel. A worker pool (internal/workers, GOMAXPROCS
+// workers at most, never more than the tiles it is handed) advances
+// kernels in lockstep windows between epoch barriers: the coordinator
+// computes a barrier time B no tile can causally affect another tile
+// before, submits only the *active* tiles — those with an event
+// strictly before B — to the pool and waits for them, then — with all
+// workers idle — drains the boundary-crossing deliveries the window
+// produced (Config.Exchange) and runs the global control-lane kernel
+// to B. Exchanged deliveries are applied in (source tile, transmit
+// order), so the schedule each kernel sees is independent of how the
+// workers interleaved, and a tiled run reproduces the sequential
+// journal byte for byte at any tile count and any pool size.
 //
 // Idle tiles cost one PeekTime comparison per barrier, not a goroutine
 // wakeup: their clocks advance lazily and are synchronized to the
@@ -43,10 +43,9 @@ package pdes
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"routeless/internal/sim"
+	"routeless/internal/workers"
 )
 
 // Config wires one tiled run.
@@ -66,18 +65,15 @@ type Config struct {
 	CrossDelay []sim.Time
 	// Exchange drains the boundary-crossing deliveries queued during
 	// the last window onto the receiving tiles' kernels, returning how
-	// many it moved. Called only while every worker is parked.
+	// many it moved. Called only while every worker is idle.
 	Exchange func() int
-	// Workers bounds the worker pool; 0 means GOMAXPROCS. The pool is
-	// clamped to the tile count. Results are identical for any value —
-	// workers only decide which goroutine advances an active tile, never
-	// what it observes.
-	Workers int
 }
 
-// Run advances the tiled simulation to time until. It spawns a bounded
-// worker pool for the duration of the call and joins it before
-// returning; a panic on any worker is re-raised on the caller.
+// Run advances the tiled simulation to time until. It opens its own
+// worker pool for the duration of the call — a tiled run inside a
+// sweep cell must not submit to the sweep's pool, whose workers may all
+// be busy running cells — and joins it before returning; a panic on
+// any worker is re-raised on the caller.
 func Run(cfg Config, until sim.Time) {
 	n := len(cfg.Tiles)
 	if n == 0 || cfg.Global == nil || len(cfg.CrossDelay) != n || cfg.Exchange == nil {
@@ -87,57 +83,36 @@ func Run(cfg Config, until sim.Time) {
 		panic(fmt.Sprintf("pdes: Run(%v) before now %v", until, cfg.Global.Now()))
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	pool := workers.New(0)
+	defer pool.Close()
 
 	// cur is the active window's barrier. The coordinator writes it only
-	// while every worker is parked; the work-channel send/receive pair
-	// orders that write before each worker's read.
+	// while every worker is idle; pool.Go orders that write before the
+	// jobs' reads, and pool.Wait their return before the next write.
 	var cur sim.Time
-	work := make(chan int)
-	acks := make(chan any, n)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				acks <- advance(cfg.Tiles[i], cur)
+	advance := make([]func(int), n)
+	for i, k := range cfg.Tiles {
+		// A tile whose clock is already at or past the barrier (possible
+		// only after a sequential fallback step) has nothing to do.
+		advance[i] = func(int) {
+			if cur > k.Now() {
+				k.RunUntilBarrier(cur)
 			}
-		}()
+		}
 	}
-	defer func() {
-		close(work)
-		wg.Wait()
-	}()
 
-	// runWindow dispatches every tile holding an event strictly before b
-	// — the active worklist — to the pool and waits for all of them to
-	// finish, re-raising worker panics. Tiles with nothing to run are
-	// not woken; their clocks catch up in syncClocks when it matters.
+	// runWindow submits every tile holding an event strictly before b —
+	// the active worklist — to the pool and waits for all of them,
+	// re-raising a worker panic. Tiles with nothing to run are not
+	// woken; their clocks catch up in syncClocks when it matters.
 	runWindow := func(b sim.Time) {
 		cur = b
-		sent := 0
 		for i, k := range cfg.Tiles {
 			if k.PeekTime() < b {
-				work <- i
-				sent++
+				pool.Go(advance[i])
 			}
 		}
-		var failure any
-		for j := 0; j < sent; j++ {
-			if r := <-acks; r != nil {
-				failure = r
-			}
-		}
-		if failure != nil {
-			panic(failure)
-		}
+		wait(pool)
 	}
 
 	// syncClocks advances every lagging tile clock to b. Called before
@@ -247,18 +222,13 @@ func stepMinTile(tiles []*sim.Kernel) {
 	tiles[best].Step()
 }
 
-// advance runs one tile's window, converting a panic into a value the
-// coordinator can re-raise with the other workers safely parked. A tile
-// whose clock is already at or past the barrier (possible only after a
-// sequential fallback step) has nothing to do before it and skips.
-func advance(k *sim.Kernel, b sim.Time) (failure any) {
+// wait joins a window's tile jobs, re-raising a tile's panic with the
+// engine named once every other tile of the window has returned.
+func wait(pool *workers.Pool) {
 	defer func() {
 		if r := recover(); r != nil {
-			failure = fmt.Errorf("pdes: tile worker panic: %v", r)
+			panic(fmt.Errorf("pdes: tile worker panic: %v", r))
 		}
 	}()
-	if b > k.Now() {
-		k.RunUntilBarrier(b)
-	}
-	return nil
+	pool.Wait()
 }

@@ -1,6 +1,7 @@
 package pdes
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -161,10 +162,13 @@ func TestExchangeDeliversAcrossTiles(t *testing.T) {
 // TestWorkersKnobIsResultInvariant runs the same many-tile workload
 // (most tiles idle — the active-worklist path) under several pool
 // sizes, including a pool far smaller than the tile count, and demands
-// identical firing orders and final clocks.
+// identical firing orders and final clocks. The pool is sized from
+// GOMAXPROCS, so that is the knob varied here.
 func TestWorkersKnobIsResultInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const tilesN = 16
 	run := func(workers int) ([][]int, []sim.Time) {
+		runtime.GOMAXPROCS(workers)
 		tiles, global := newTiles(tilesN)
 		// Per-tile firing records: written only by the owning tile's
 		// worker, read after Run joins the pool. Only tiles 3 and 11 are
@@ -200,7 +204,6 @@ func TestWorkersKnobIsResultInvariant(t *testing.T) {
 			MinArm:     0.25,
 			CrossDelay: cd,
 			Exchange:   func() int { return 0 },
-			Workers:    workers,
 		}, 10.0)
 		clocks := make([]sim.Time, tilesN)
 		for i, k := range tiles {

@@ -60,9 +60,9 @@ func TestRaceHammer(t *testing.T) {
 	}
 }
 
-// TestRaceHammerSharedQueue hammers the queue itself: cheap cells, many
-// workers, forced stealing. Under -race this exercises claim()'s mutex
-// discipline; the assertion is exactly-once execution.
+// TestRaceHammerSharedQueue hammers the pool's job hand-off itself:
+// cheap cells, many workers. Under -race this exercises the submit and
+// join synchronization; the assertion is exactly-once execution.
 func TestRaceHammerSharedQueue(t *testing.T) {
 	const n = 2000
 	cells := Cells("q", n, []int64{0})

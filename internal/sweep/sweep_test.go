@@ -2,7 +2,7 @@ package sweep
 
 import (
 	"fmt"
-	"sync/atomic"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -62,14 +62,15 @@ func TestRunOrderPreserved(t *testing.T) {
 	}
 }
 
-// Every cell must run exactly once even under heavy stealing pressure
-// (uneven cell costs force idle workers to raid busy spans).
+// Every cell must run exactly once even with uneven cell costs. Each
+// counter is written only by the one job that owns its index (the race
+// detector would flag a second one) and read after Run returns.
 func TestRunEachCellOnce(t *testing.T) {
 	const n = 500
 	cells := Cells("f", n, []int64{0})
 	var counts [n]int32
 	Run(8, cells, func(ctx *Context, i int, c Cell) struct{} {
-		// Make early cells expensive so later spans get stolen.
+		// Make early cells expensive so the other workers drain the rest.
 		if i < 8 {
 			x := int64(1)
 			for j := 0; j < 200000; j++ {
@@ -77,7 +78,7 @@ func TestRunEachCellOnce(t *testing.T) {
 			}
 			_ = x
 		}
-		atomic.AddInt32(&counts[i], 1)
+		counts[i]++
 		return struct{}{}
 	})
 	for i, c := range counts {
@@ -141,12 +142,12 @@ func TestRunContextOwnership(t *testing.T) {
 }
 
 // A panicking cell must surface on the caller's goroutine after the
-// remaining cells finish: the dead worker's span is stolen by the
-// others, and spawn re-raises only once every worker has exited.
+// remaining cells finish, at any worker count: the pool recovers the
+// panic, keeps serving cells, and re-raises once every cell returned.
 func TestRunPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cells := Cells("f", 40, []int64{0})
-		var ran int32
+		ran := make([]bool, len(cells))
 		var recovered any
 		func() {
 			defer func() { recovered = recover() }()
@@ -154,7 +155,7 @@ func TestRunPanicPropagates(t *testing.T) {
 				if i == 13 {
 					panic("cell boom")
 				}
-				atomic.AddInt32(&ran, 1)
+				ran[i] = true
 				return i
 			})
 		}()
@@ -164,51 +165,11 @@ func TestRunPanicPropagates(t *testing.T) {
 		if s, ok := recovered.(string); !ok || s != "cell boom" {
 			t.Fatalf("workers=%d: re-raised %v, want \"cell boom\"", workers, recovered)
 		}
-		if workers > 1 && atomic.LoadInt32(&ran) != 39 {
-			t.Fatalf("workers=%d: %d cells ran after panic, want 39", workers, ran)
+		for i, r := range ran {
+			if r != (i != 13) {
+				t.Fatalf("workers=%d: cell %d ran=%v when the panic was re-raised", workers, i, r)
+			}
 		}
-	}
-}
-
-// Directly exercise the steal path: a queue with all the work on one
-// span must still hand every index out exactly once.
-func TestQueueStealing(t *testing.T) {
-	const n, workers = 37, 5
-	q := newQueue(n, workers)
-	// Exhaust workers 1..4's own spans into worker 0's tally first, to
-	// force them onto the steal path. Simpler: drain everything from
-	// worker 4 only — every claim after its own span empties must steal.
-	seen := make([]int, n)
-	for {
-		i, ok := q.claim(4)
-		if !ok {
-			break
-		}
-		if i < 0 || i >= n {
-			t.Fatalf("claimed out-of-range index %d", i)
-		}
-		seen[i]++
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d claimed %d times", i, c)
-		}
-	}
-}
-
-// rem=1 is the classic infinite-steal trap: stealing "half" of a
-// single-cell span must hand over that cell, not loop forever.
-func TestQueueStealSingleCell(t *testing.T) {
-	q := newQueue(1, 2) // worker 0 owns [0,1), worker 1 owns nothing
-	i, ok := q.claim(1)
-	if !ok || i != 0 {
-		t.Fatalf("claim(1) = (%d, %v), want (0, true)", i, ok)
-	}
-	if _, ok := q.claim(0); ok {
-		t.Fatal("claim(0) succeeded after the only cell was stolen")
-	}
-	if _, ok := q.claim(1); ok {
-		t.Fatal("claim(1) succeeded on an empty queue")
 	}
 }
 
@@ -243,68 +204,32 @@ func TestQuickRunEqualsSerial(t *testing.T) {
 	}
 }
 
-// The clamp rule shared by Run and NewPool: 0 or negative means
-// GOMAXPROCS, never more than n, never below 1.
+// The clamp rule of Run: 0 or negative means GOMAXPROCS, and no more
+// workers start than the request or the cell count, so every worker
+// index stays below both.
 func TestWorkersClamp(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		name        string
-		workers, n  int
-		want        int
-		wantAtMost  int  // when >0, bound instead of exact (GOMAXPROCS cases)
-		wantAtLeast int  // paired lower bound
-		exact       bool // compare against want
+		name       string
+		workers, n int
+		bound      int // worker indices must lie in [0, bound)
 	}{
-		{name: "more workers than items", workers: 16, n: 3, want: 3, exact: true},
-		{name: "equal", workers: 4, n: 4, want: 4, exact: true},
-		{name: "fewer workers than items", workers: 2, n: 100, want: 2, exact: true},
-		{name: "zero items still yields one worker", workers: 8, n: 0, want: 1, exact: true},
-		{name: "negative items still yields one worker", workers: 8, n: -5, want: 1, exact: true},
-		{name: "zero workers means GOMAXPROCS clamped to n", workers: 0, n: 2, wantAtMost: 2, wantAtLeast: 1},
-		{name: "negative workers means GOMAXPROCS clamped to n", workers: -3, n: 2, wantAtMost: 2, wantAtLeast: 1},
+		{name: "more workers than items", workers: 16, n: 3, bound: 3},
+		{name: "equal", workers: 4, n: 4, bound: 4},
+		{name: "fewer workers than items", workers: 2, n: 100, bound: 2},
+		{name: "zero workers means GOMAXPROCS clamped to n", workers: 0, n: 2, bound: min(procs, 2)},
+		{name: "negative workers means GOMAXPROCS clamped to n", workers: -3, n: 2, bound: min(procs, 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := workerCount(tc.workers, tc.n)
-			if tc.exact {
-				if got != tc.want {
-					t.Fatalf("workerCount(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+			got := Run(tc.workers, Cells("f", tc.n, []int64{0}), func(ctx *Context, i int, c Cell) int {
+				return ctx.Worker()
+			})
+			for i, w := range got {
+				if w < 0 || w >= tc.bound {
+					t.Fatalf("Run(%d, %d cells): cell %d ran on worker %d, want [0, %d)", tc.workers, tc.n, i, w, tc.bound)
 				}
-				return
-			}
-			if got < tc.wantAtLeast || got > tc.wantAtMost {
-				t.Fatalf("workerCount(%d, %d) = %d, want in [%d, %d]", tc.workers, tc.n, got, tc.wantAtLeast, tc.wantAtMost)
 			}
 		})
-	}
-}
-
-// spawn's panic contract, below Run: one body dies at once, the others
-// still run to completion, and the first panic value is re-raised on
-// the caller's goroutine only after they all exit.
-func TestSpawnPanicLetsOthersFinish(t *testing.T) {
-	const workers = 8
-	var finished [workers]int32
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		spawn(workers, func(w int) {
-			if w == 0 {
-				panic("worker boom")
-			}
-			x := int64(1)
-			for j := 0; j < 100000; j++ {
-				x = x*6364136223846793005 + 1442695040888963407
-			}
-			_ = x
-			atomic.StoreInt32(&finished[w], 1)
-		})
-	}()
-	if s, ok := recovered.(string); !ok || s != "worker boom" {
-		t.Fatalf("re-raised %v, want \"worker boom\"", recovered)
-	}
-	for w := 1; w < workers; w++ {
-		if atomic.LoadInt32(&finished[w]) != 1 {
-			t.Fatalf("worker %d had not finished when spawn re-raised", w)
-		}
 	}
 }
