@@ -139,8 +139,10 @@ func Generate(seed int64, lim Limits) scenario.Scenario {
 func genFault(r *rand.Rand) scenario.FaultSpec {
 	switch r.Intn(4) {
 	case 0:
+		// Up to 0.65 so two crash specs can sum above 1: the plan shape
+		// that reaches a per-node rather than per-process downtime bound.
 		return scenario.FaultSpec{Kind: "crash",
-			OffFraction: 0.05 + r.Float64()*0.3,
+			OffFraction: 0.05 + r.Float64()*0.6,
 			Cycle:       0.5 + r.Float64()*2,
 			Sleep:       r.Intn(2) == 0}
 	case 1:

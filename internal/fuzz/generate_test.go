@@ -84,3 +84,26 @@ func TestGenerateCoversFeatures(t *testing.T) {
 			tiled, faded, mobile, faulted)
 	}
 }
+
+// TestGenerateCrashFractionsCanOverlap requires the generator to reach
+// plans whose crash off fractions sum above 1 — two or more crash
+// processes that must overlap in time, the shape that exposes a
+// fault-downtime bound counting nodes instead of crash processes.
+func TestGenerateCrashFractionsCanOverlap(t *testing.T) {
+	found := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		sum := 0.0
+		for _, f := range Generate(seed, Limits{}).Faults {
+			if f.Kind == "crash" {
+				sum += f.OffFraction
+			}
+		}
+		if sum > 1 {
+			found++
+		}
+	}
+	if found == 0 {
+		t.Fatal("seeds 1–300 generated no plan whose crash off fractions sum above 1")
+	}
+	t.Logf("%d of 300 seeds generate crash fractions summing above 1", found)
+}
