@@ -5,7 +5,7 @@
 // Usage:
 //
 //	wmansim -exp fig1            # Figure 1 (SSAF vs counter-1 flooding)
-//	wmansim -exp fig2            # Figure 2 (congestion avoidance, + map)
+//	wmansim -exp fig2            # Figure 2 (congestion avoidance per seed + mean, map of the first seed)
 //	wmansim -exp fig3            # Figure 3 (Routeless vs AODV)
 //	wmansim -exp fig4            # Figure 4 (… under node failures)
 //	wmansim -exp abl1|abl2|abl3|abl4
@@ -207,7 +207,7 @@ func run() int {
 	// stays on the sequential kernel regardless of -tiles.
 	fig1 := experiments.Fig1Config{Seeds: seedList, Workers: *workers, Tiles: *tiles, Duration: *duration, Journal: journal}
 	fig34 := experiments.Fig34Config{Seeds: seedList, Workers: *workers, Tiles: *tiles, Duration: *duration, Journal: journal}
-	fig2 := experiments.Fig2Config{Seed: seedList[0], Workers: *workers}
+	fig2 := experiments.Fig2Config{Workers: *workers}
 	churnCfg := experiments.ChurnConfig{Seeds: seedList, Workers: *workers, Tiles: *tiles, Duration: *duration, Journal: journal}
 	// Mega runs auto-size their PDES tiling from the arena (the point of
 	// the study); an explicit -tiles above 1 overrides that, -tiles 1
@@ -264,11 +264,19 @@ func run() int {
 		case "fig1":
 			tbl = experiments.Fig1Table(experiments.RunFig1(fig1))
 		case "fig2":
-			res := experiments.RunFig2(fig2)
-			tbl = experiments.Fig2Table(res)
+			// One run per seed: the center share is a per-topology
+			// realization, so the table carries every seed and the mean;
+			// the map shows the first seed.
+			results := make([]experiments.Fig2Result, len(seedList))
+			for i, seed := range seedList {
+				cfg := fig2
+				cfg.Seed = seed
+				results[i] = experiments.RunFig2(cfg)
+			}
+			tbl = experiments.Fig2Table(results...)
 			show(tbl)
 			if !*csv {
-				fmt.Println(experiments.Fig2Render(res, *width))
+				fmt.Println(experiments.Fig2Render(results[0], *width))
 			}
 		case "fig3":
 			tbl = experiments.Fig3Table(experiments.RunFig3(fig34))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"routeless/internal/sim"
@@ -268,5 +269,34 @@ func TestFig2SVGAndAbl6(t *testing.T) {
 	}
 	if Abl6Table(rows).NumRows() != 1 {
 		t.Fatal("abl6 table broken")
+	}
+}
+
+// Fig2Table carries one row pair per seed and, with several seeds, a
+// mean row pair over them.
+func TestFig2TableSeedMean(t *testing.T) {
+	a := Fig2Result{Config: Fig2Config{Seed: 1}, CenterShareAlone: 0.4, CenterShareWithCross: 0.2,
+		MeanCenterDistAlone: 400, MeanCenterDistWithCross: 500, DeliveredAlone: 40, DeliveredWithCross: 10}
+	b := Fig2Result{Config: Fig2Config{Seed: 2}, CenterShareAlone: 0.2, CenterShareWithCross: 0.1,
+		MeanCenterDistAlone: 600, MeanCenterDistWithCross: 700, DeliveredAlone: 30, DeliveredWithCross: 20}
+	if n := Fig2Table(a).NumRows(); n != 2 {
+		t.Fatalf("one seed: %d rows, want 2 (no mean)", n)
+	}
+	tbl := Fig2Table(a, b)
+	if tbl.NumRows() != 6 {
+		t.Fatalf("two seeds: %d rows, want 6", tbl.NumRows())
+	}
+	want := [][]string{
+		{"1", "A->B alone", "0.4", "400", "40"},
+		{"1", "A->B + C<->D", "0.2", "500", "10"},
+		{"2", "A->B alone", "0.2", "600", "30"},
+		{"2", "A->B + C<->D", "0.1", "700", "20"},
+		{"mean", "A->B alone", "0.3", "500", "35"},
+		{"mean", "A->B + C<->D", "0.15", "600", "15"},
+	}
+	for i, w := range want {
+		if got := tbl.Row(i); !slices.Equal(got, w) {
+			t.Errorf("row %d = %v, want %v", i, got, w)
+		}
 	}
 }

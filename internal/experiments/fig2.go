@@ -259,14 +259,28 @@ func Fig2Render(res Fig2Result, width int) string {
 	return b.String()
 }
 
-// Fig2Table summarizes the avoidance metrics.
-func Fig2Table(res Fig2Result) *stats.Table {
+// Fig2Table summarizes the avoidance metrics: one row pair per result
+// (one per seed), plus the seed mean when there are several.
+func Fig2Table(results ...Fig2Result) *stats.Table {
 	t := stats.NewTable(
 		"Figure 2 — automatic congestion avoidance (Routeless Routing)",
-		"scenario", "center_share", "mean_center_dist_m", "ab_delivered",
+		"seed", "scenario", "center_share", "mean_center_dist_m", "ab_delivered",
 	)
-	t.AddRow("A->B alone", res.CenterShareAlone, res.MeanCenterDistAlone, res.DeliveredAlone)
-	t.AddRow("A->B + C<->D", res.CenterShareWithCross, res.MeanCenterDistWithCross, res.DeliveredWithCross)
+	var share, dist, delivered [2]float64
+	for _, res := range results {
+		t.AddRow(res.Config.Seed, "A->B alone", res.CenterShareAlone, res.MeanCenterDistAlone, res.DeliveredAlone)
+		t.AddRow(res.Config.Seed, "A->B + C<->D", res.CenterShareWithCross, res.MeanCenterDistWithCross, res.DeliveredWithCross)
+		share[0] += res.CenterShareAlone
+		share[1] += res.CenterShareWithCross
+		dist[0] += res.MeanCenterDistAlone
+		dist[1] += res.MeanCenterDistWithCross
+		delivered[0] += float64(res.DeliveredAlone)
+		delivered[1] += float64(res.DeliveredWithCross)
+	}
+	if n := float64(len(results)); n > 1 {
+		t.AddRow("mean", "A->B alone", share[0]/n, dist[0]/n, delivered[0]/n)
+		t.AddRow("mean", "A->B + C<->D", share[1]/n, dist[1]/n, delivered[1]/n)
+	}
 	return t
 }
 
