@@ -362,6 +362,17 @@ var mu sync.Mutex
 func bad() {
 	go func() {}()
 }`
+	// The engines' real shape: concurrency through a workers.Pool, with
+	// no go statement or sync import of their own.
+	const submitSrc = `package fix
+import "routeless/internal/workers"
+func good(jobs []func(int)) {
+	p := workers.New(0)
+	for _, j := range jobs {
+		p.Go(j)
+	}
+	p.Close()
+}`
 	runFixtures(t, []fixtureCase{
 		{
 			name: "catches sync import and go statement in internal", analyzer: Goroutine,
@@ -378,6 +389,10 @@ func bad() {
 			want: []string{`import "sync"`, "go statement"},
 		},
 		{
+			name: "clean: internal/sweep worker pool owns concurrency", analyzer: Goroutine,
+			path: "routeless/internal/sweep", filename: "sweep.go", src: submitSrc,
+		},
+		{
 			name: "catches concurrency in a non-engine package named like a pool", analyzer: Goroutine,
 			path: "routeless/internal/parallel", filename: "parallel.go", src: concSrc,
 			want: []string{`import "sync"`, "go statement"},
@@ -386,6 +401,10 @@ func bad() {
 			name: "catches concurrency in internal/pdes, which submits to the pool", analyzer: Goroutine,
 			path: "routeless/internal/pdes", filename: "pdes.go", src: concSrc,
 			want: []string{`import "sync"`, "go statement"},
+		},
+		{
+			name: "clean: internal/pdes tile engine owns concurrency", analyzer: Goroutine,
+			path: "routeless/internal/pdes", filename: "pdes.go", src: submitSrc,
 		},
 		{
 			name: "clean: cmd may use goroutines", analyzer: Goroutine,
